@@ -193,36 +193,53 @@ def _untuple(value: Any) -> Any:
 _GENSYM_RE = re.compile(r"#:([A-Za-z-]+)(\d+)\b")
 
 
+class _GensymNames(Dict[str, str]):
+    """Symbol name -> printed name: ``#:prefixN`` gensyms renumbered in
+    order of first encounter, every other name unchanged."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.renumbered: Dict[str, str] = {}
+
+    def rename(self, text: str) -> str:
+        return _GENSYM_RE.sub(self._renumber, text)
+
+    def _renumber(self, match: "re.Match[str]") -> str:
+        original = match.group(0)
+        if original not in self.renumbered:
+            self.renumbered[original] = (
+                f"#:{match.group(1)}{len(self.renumbered)}")
+        return self.renumbered[original]
+
+    def __missing__(self, name: str) -> str:
+        self[name] = printed = self.rename(name) if "#:" in name else name
+        return printed
+
+
 def _canonical_rendering(
-    report_text: str, forms: Tuple[Tuple[str, ...], ...]
+    report_text: str, forms: Tuple[Tuple[Any, ...], ...]
 ) -> Tuple[str, Tuple[Tuple[str, ...], ...]]:
-    """Renumber ``#:prefixN`` gensyms in first-appearance order.
+    """Pretty-print ``forms`` (groups of datum forms) with ``#:prefixN``
+    gensyms renumbered in first-appearance order, ``report_text`` first.
 
     The transformer draws gensyms from a process-global counter, so
     two calls on identical input would otherwise render differently —
     breaking the facade's identical-inputs → identical-JSON contract
     (and with it CLI/serve parity and single-flight coalescing).  The
-    renaming is injective (distinct originals get distinct indices), so
-    uniqueness within one result is preserved.
+    printer is handed the new names, because it chooses line breaks by
+    the length of the names it prints; it meets every symbol of a form
+    first in one flat pass, in text order, so numbering on first
+    encounter is first-appearance order.  The renaming is injective
+    (distinct originals get distinct indices), so uniqueness within one
+    result is preserved.
     """
-    flat = [report_text]
-    for group in forms:
-        flat.extend(group)
-    mapping: Dict[str, str] = {}
+    from repro.sexpr.printer import pretty_str
 
-    def rename(match: "re.Match[str]") -> str:
-        original = match.group(0)
-        if original not in mapping:
-            mapping[original] = f"#:{match.group(1)}{len(mapping)}"
-        return mapping[original]
-
-    renamed = [_GENSYM_RE.sub(rename, text) for text in flat]
-    out_forms = []
-    index = 1
-    for group in forms:
-        out_forms.append(tuple(renamed[index:index + len(group)]))
-        index += len(group)
-    return renamed[0], tuple(out_forms)
+    names = _GensymNames()
+    return names.rename(report_text), tuple(
+        tuple(pretty_str(form, names=names) for form in group)
+        for group in forms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +465,6 @@ def transform(
 ) -> TransformResult:
     """Restructure ``function`` (or, with ``options.whole_program``,
     every eligible function, retargeting callers)."""
-    from repro.sexpr.printer import pretty_str
-
     start = time.perf_counter()
     curare = _load_curare(source, decls, options.assume_sapp, recorder)
     try:
@@ -467,11 +482,8 @@ def transform(
             outcomes = program_result.transformed
             report_text, forms = _canonical_rendering(
                 program_result.report(),
-                tuple(
-                    (pretty_str(o.final_form),
-                     *(pretty_str(f) for f in o.extra_forms))
-                    for o in outcomes.values()
-                ),
+                tuple((o.final_form, *o.extra_forms)
+                      for o in outcomes.values()),
             )
             return TransformResult(
                 function=function,
@@ -495,11 +507,11 @@ def transform(
         )
     except Exception as err:  # unknown function, lowering failure, ...
         raise EngineError(f"transform failed: {err}") from err
-    forms: Tuple[Tuple[str, ...], ...] = ()
-    if result.transformed:
-        forms = ((pretty_str(result.final_form),
-                  *(pretty_str(f) for f in result.extra_forms)),)
-    report_text, forms = _canonical_rendering(result.report(), forms)
+    report_text, forms = _canonical_rendering(
+        result.report(),
+        ((result.final_form, *result.extra_forms),)
+        if result.transformed else (),
+    )
     return TransformResult(
         function=function,
         transformed=bool(result.transformed),

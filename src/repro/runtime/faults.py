@@ -66,7 +66,26 @@ class FaultPlan:
     # -- hooks the machine calls ------------------------------------------
 
     def on_tick(self, machine: "Machine") -> None:
-        """Called once per clock tick, before processors advance."""
+        """Called on a clock tick, after the clock moves and before
+        processors advance.  The ticker calls it on every tick; the heap
+        stepper only on the ticks :meth:`quiet_ticks` did not report
+        quiet."""
+
+    def quiet_ticks(self, machine: "Machine", limit: int) -> int:
+        """The look-ahead: how many of the next ``limit`` ticks
+        ``on_tick`` would inject nothing on.
+
+        It makes now exactly the draws ``on_tick`` would make on those
+        ticks, reading machine state that holds still until the next
+        scheduler event (the ready queue, the busy processors, the lock
+        waiters).  A result ``n < limit`` means a draw of tick ``n + 1``
+        fired: the machine calls ``on_tick`` on that tick before
+        anything else touches the plan, and ``on_tick`` finishes the
+        tick without drawing again; until then this reports 0.  The
+        base plan reports 0, so a plan overriding only ``on_tick`` is
+        still called on every tick.
+        """
+        return 0
 
     def pick_ready(self, machine: "Machine", ready: list) -> Optional[int]:
         """Return an index into ``ready`` to force that pick, or None to
@@ -96,6 +115,9 @@ class FaultPlan:
 class NullFaultPlan(FaultPlan):
     """Injects nothing — the no-overhead-when-off baseline."""
 
+    def quiet_ticks(self, machine: "Machine", limit: int) -> int:
+        return limit
+
 
 @dataclass
 class FaultRates:
@@ -115,6 +137,10 @@ class FaultRates:
     budget: int = 200
 
 
+#: The draws ``SeededFaultPlan.on_tick`` makes on a tick, in order.
+_STALL, _PREEMPT, _SPURIOUS, _SHUFFLE = range(4)
+
+
 class SeededFaultPlan(FaultPlan):
     """A deterministic adversary: seeded decisions at every hook."""
 
@@ -124,20 +150,36 @@ class SeededFaultPlan(FaultPlan):
         self.seed = seed
         self.rates = rates
         self.rng = _random.Random(seed)
+        #: Set by the look-ahead: the draw of the next tick that it
+        #: already made and saw fire.
+        self._fired: Optional[int] = None
+        #: The look-ahead's draws with a nonzero rate, in ``on_tick``
+        #: order; shuffle joins them while two processes are ready.
+        self._draws = [(draw, rate) for draw, rate in enumerate(
+            (rates.stall_rate, rates.preempt_rate, rates.spurious_rate))
+            if rate]
 
     def _spent(self) -> bool:
         return self.total_injected >= self.rates.budget
 
+    def _fires(self, draw: int, fired: Optional[int], rate: float) -> bool:
+        """Whether this tick's ``draw`` fires.  The look-ahead already
+        made the draws up to ``fired``, and only ``fired`` fired."""
+        if fired is not None and draw <= fired:
+            return draw == fired
+        return bool(rate) and self.rng.random() < rate
+
     def on_tick(self, machine: "Machine") -> None:
+        fired, self._fired = self._fired, None
         if self._spent():
             return
         rates = self.rates
         rng = self.rng
-        if rates.stall_rate and rng.random() < rates.stall_rate:
+        if self._fires(_STALL, fired, rates.stall_rate):
             cpu = rng.choice(machine.cpus)
             cpu.overhead += rates.stall_ticks
             self.count("stall")
-        if rates.preempt_rate and rng.random() < rates.preempt_rate:
+        if self._fires(_PREEMPT, fired, rates.preempt_rate):
             busy = [c for c in machine.cpus
                     if c.proc is not None and c.proc.busy_remaining > 0]
             if busy:
@@ -147,7 +189,7 @@ class SeededFaultPlan(FaultPlan):
                 machine.ready.append(proc)
                 cpu.proc = None
                 self.count("preempt")
-        if rates.spurious_rate and rng.random() < rates.spurious_rate:
+        if self._fires(_SPURIOUS, fired, rates.spurious_rate):
             waiters = [
                 p for p in machine.processes.values()
                 if p.state == "blocked"
@@ -163,10 +205,26 @@ class SeededFaultPlan(FaultPlan):
                 proc.pending_reply = SPURIOUS_WAKE
                 machine.ready.append(proc)
                 self.count("spurious-wake")
-        if rates.shuffle_rate and len(machine.ready) > 1 \
-                and rng.random() < rates.shuffle_rate:
+        if len(machine.ready) > 1 \
+                and self._fires(_SHUFFLE, fired, rates.shuffle_rate):
             rng.shuffle(machine.ready)
             self.count("shuffle")
+
+    def quiet_ticks(self, machine: "Machine", limit: int) -> int:
+        if self._fired is not None:
+            return 0
+        draws = self._draws
+        if self.rates.shuffle_rate and len(machine.ready) > 1:
+            draws = draws + [(_SHUFFLE, self.rates.shuffle_rate)]
+        if not draws or self._spent():
+            return limit
+        random = self.rng.random
+        for quiet in range(limit):
+            for draw, rate in draws:
+                if random() < rate:
+                    self._fired = draw
+                    return quiet
+        return limit
 
     def pick_ready(self, machine: "Machine", ready: list) -> Optional[int]:
         # Shuffling already perturbs pick order; a per-pick override

@@ -21,10 +21,9 @@ produce sequential results under it.
 Stepping: two steppers produce identical effect traces and statistics.
 
 * ``"ticker"`` — the original per-tick polling loop: advance the clock
-  one tick, decrement every busy processor, resume whoever hit zero.
-  Kept verbatim as the differential-testing reference, and used
-  automatically whenever a fault plan is attached (fault hooks are
-  defined to run every tick).
+  one tick, call the fault plan's ``on_tick``, decrement every busy
+  processor, resume whoever hit zero.  Kept verbatim as the
+  differential-testing reference.
 * ``"heap"`` (default) — an event scheduler.  Every engaged processor
   has a known remaining charge (its busy time or context-switch
   overhead); the minimum over those charges yields the next
@@ -32,8 +31,14 @@ Stepping: two steppers produce identical effect traces and statistics.
   that a min-heap costs more to maintain than to recompute), and the
   machine advances the clock in one batch, charging each processor
   ``delta`` ticks at once and skipping the idle decrement loop in
-  between.  Batches are capped
-  by ``max_time`` and by the earliest lock-watchdog deadline so both
+  between.  When exactly one processor is engaged and the ready queue
+  is empty, its process *runs ahead*: each charge goes straight onto
+  the clock and the process resumes at once, with no scheduler pass,
+  until it blocks, finishes, or makes anything else able to act.  A
+  fault plan reports how many upcoming ticks inject nothing
+  (:meth:`FaultPlan.quiet_ticks`), so ``on_tick`` runs only on the
+  ticks where a draw fires.  Batches and run-ahead stop short of
+  ``max_time`` and of the earliest lock-watchdog deadline, so both
   raise at exactly the tick the ticker would.  Per-tick statistics
   (concurrency samples, peak-live, busy counters) are reconstructed
   exactly; nothing observable distinguishes the two steppers.
@@ -257,16 +262,17 @@ class Machine:
         #: with no recorder the machine's behavior and effect trace are
         #: byte-identical to an uninstrumented run.
         self.recorder = recorder
-        #: Fault plans hook every tick (stalls, spurious wakes), so the
-        #: heap stepper's multi-tick batches would starve them; chaos
-        #: runs always use the per-tick reference loop.
-        self._use_heap = self.stepper == "heap" and faults is None
+        #: Fault plans run on either stepper; the heap stepper calls
+        #: ``on_tick`` only on the ticks its look-ahead says inject.
         self._step: Callable[[], None] = (
-            self._step_batched if self._use_heap else self._tick
+            self._step_batched if stepper == "heap" else self._tick
         )
         #: Incrementally-maintained count of processes not yet done —
         #: replaces the ticker's O(processes) scan per loop iteration.
         self._live = 0
+        #: While a lone process runs ahead, the tick its charges must
+        #: stay below (``_horizon``); 0 otherwise.
+        self._ahead_limit = 0
 
     # -- process management -----------------------------------------------
 
@@ -650,41 +656,107 @@ class Machine:
                 best = remaining
         return best if best > 0 else 1
 
-    def _earliest_lock_deadline(self) -> Optional[int]:
-        """First tick at which the lock-wait watchdog would fire."""
+    def _horizon(self) -> int:
+        """The first tick at which ``run`` must raise: ``max_time``, or
+        the earliest tick at which the lock-wait watchdog would fire."""
+        horizon = self.max_time
         limit = self.lock_wait_timeout
-        earliest: Optional[int] = None
-        for proc in self.processes.values():
-            if (
-                proc.state == "blocked"
-                and isinstance(proc.block_reason, tuple)
-                and proc.block_reason
-                and proc.block_reason[0] == "lock"
-            ):
-                deadline = proc.lock_wait_since + limit + 1
-                if earliest is None or deadline < earliest:
-                    earliest = deadline
-        return earliest
+        if limit is not None:
+            for proc in self.processes.values():
+                if (
+                    proc.state == "blocked"
+                    and isinstance(proc.block_reason, tuple)
+                    and proc.block_reason
+                    and proc.block_reason[0] == "lock"
+                ):
+                    horizon = min(horizon, proc.lock_wait_since + limit + 1)
+        return horizon
 
     def _step_batched(self) -> None:
-        """One event step: advance straight to the next event.
+        """One event step: run a lone process ahead, or advance straight
+        to the next event.
 
         The batch is capped so that ``max_time`` and the lock-wait
         watchdog still observe exactly the tick at which the per-tick
-        loop would have raised.
+        loop would have raised.  With a fault plan, the batch stops at
+        the first tick the plan injects on; that tick runs the plan's
+        ``on_tick`` as the ticker would.
         """
+        if self._run_ahead():
+            return
         delta = self._next_event_delta()
         if delta > 1:
-            cap = self.max_time - self.time
-            if self.lock_wait_timeout is not None:
-                deadline = self._earliest_lock_deadline()
-                if deadline is not None and deadline - self.time < cap:
-                    cap = deadline - self.time
+            cap = self._horizon() - self.time
             if delta > cap:
                 delta = cap if cap > 1 else 1
+        faults = self.faults
+        if faults is not None:
+            quiet = faults.quiet_ticks(self, delta)
+            if quiet < delta:
+                if quiet:
+                    self._advance(quiet)
+                self._advance(1, faults)
+                return
         self._advance(delta)
 
-    def _advance(self, delta: int) -> None:
+    def _run_ahead(self) -> bool:
+        """Run a lone process ahead of the scheduler loop.
+
+        While its cpu is the only engaged one and the ready queue is
+        empty, nothing else can act: each charge goes straight onto the
+        clock and the process resumes at once (``_charge_ahead``) until
+        it blocks, finishes, fills the ready queue, or a charge would
+        reach the horizon or a fault tick.  The ticks record what
+        ``_advance`` would.  Returns False if no tick was charged.
+        """
+        if self.ready:
+            return False
+        engaged = [cpu for cpu in self.cpus
+                   if cpu.proc is not None or cpu.overhead > 0]
+        if len(engaged) != 1 or engaged[0].overhead > 0 \
+                or engaged[0].proc.busy_remaining == 0:
+            return False
+        cpu = engaged[0]
+        proc = cpu.proc
+        start = self.time
+        live = self._live
+        self._ahead_limit = self._horizon()
+        try:
+            proc.busy_remaining = self._charge_ahead(
+                cpu, proc, proc.busy_remaining)
+            if proc.busy_remaining == 0:
+                self._resume(cpu, proc)
+        finally:
+            self._ahead_limit = 0
+        ticks = self.time - start
+        if ticks:
+            stats = self.stats
+            stats.peak_live_processes = max(
+                stats.peak_live_processes, self._live,
+                live if ticks > 1 else 0)
+        return ticks > 0
+
+    def _charge_ahead(self, cpu: _Cpu, proc: Process, cost: int) -> int:
+        """Put a running-ahead process's ``cost`` straight onto the
+        clock: none of it if the ready queue is non-empty or the charge
+        would reach the horizon, and with a fault plan only the ticks
+        before its next injection.  Returns the part left uncharged."""
+        if self.ready or self.time + cost >= self._ahead_limit:
+            return cost
+        faults = self.faults
+        quiet = cost if faults is None else faults.quiet_ticks(self, cost)
+        if quiet:
+            self.time += quiet
+            cpu.busy_time += quiet
+            proc.busy_total += quiet
+            if quiet == 1:
+                self.stats.concurrency_samples.append(1)
+            else:
+                self.stats.concurrency_samples.extend([1] * quiet)
+        return cost - quiet
+
+    def _advance(self, delta: int,
+                 faults: Optional[FaultPlan] = None) -> None:
         """Charge every engaged cpu ``delta`` ticks at once.
 
         Equivalent to ``delta`` ticker iterations: by construction no
@@ -695,9 +767,13 @@ class Machine:
         of the ``delta`` concurrency samples equals the batch's busy
         count, mid-batch ticks observe the pre-kick live count, and the
         final tick observes the post-kick one — matching the ticker's
-        sample-after-kick order.
+        sample-after-kick order.  ``faults`` is passed for a one-tick
+        batch on which the plan injects: its ``on_tick`` runs after the
+        clock moves and before any cpu is charged, as in ``_tick``.
         """
         self.time += delta
+        if faults is not None:
+            faults.on_tick(self)
         live_before = self._live
         busy_count = 0
         for cpu in self.cpus:
@@ -761,6 +837,8 @@ class Machine:
             # dispatch chain (same outcome as _handle's Tick arm).
             if effect.__class__ is Tick:
                 cost = effect.cost
+                if cost > 0 and self._ahead_limit:
+                    cost = self._charge_ahead(cpu, proc, cost)
                 if cost > 0:
                     proc.busy_remaining = cost
                     proc.pending_reply = None
@@ -773,11 +851,14 @@ class Machine:
                 proc.block_since = self.time
                 cpu.proc = None
                 return
+            if cost > 0 and self._ahead_limit:
+                cost = self._charge_ahead(cpu, proc, cost)
             if cost > 0:
                 proc.busy_remaining = cost
                 proc.pending_reply = reply
                 return
-            # zero-cost effect: keep going within this instant
+            # zero-cost effect, or a charge already run ahead: keep
+            # going within this instant
 
     def _finish(self, proc: Process, value: Any) -> None:
         proc.state = "done"

@@ -8,9 +8,12 @@ that Curare's output is a feedback channel for the programmer (§6).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping, Optional
 
 from repro.sexpr.datum import Cons, Symbol
+
+#: Symbol name -> the name to print for it (``names=`` below).
+Names = Optional[Mapping[str, str]]
 
 _QUOTE_ABBREV = {
     "quote": "'",
@@ -58,22 +61,28 @@ def _atom_str(obj: Any) -> str:
     return repr(obj)
 
 
-def write_str(obj: Any, max_depth: int = 200, max_length: int = 10_000) -> str:
+def write_str(obj: Any, max_depth: int = 200, max_length: int = 10_000,
+              names: Names = None) -> str:
     """Render ``obj`` as S-expression text.
 
     ``max_depth``/``max_length`` guard against cyclic structure; when a
     bound is hit the output contains ``...`` (and is then not readable,
-    by design).
+    by design).  ``names``, if given, maps each symbol's name to the
+    name printed for it.
     """
     out: list[str] = []
-    _write(obj, out, max_depth, max_length, set())
+    _write(obj, out, max_depth, max_length, set(), names)
     return "".join(out)
 
 
-def _write(obj: Any, out: list[str], depth: int, length: int, on_path: set[int]) -> None:
+def _write(obj: Any, out: list[str], depth: int, length: int,
+           on_path: set[int], names: Names = None) -> None:
     obj = _unwrap_future(obj)
     if not isinstance(obj, Cons):
-        out.append(_atom_str(obj))
+        if names is not None and isinstance(obj, Symbol):
+            out.append(names[obj.name])
+        else:
+            out.append(_atom_str(obj))
         return
     if depth <= 0 or id(obj) in on_path:
         out.append("...")
@@ -86,7 +95,7 @@ def _write(obj: Any, out: list[str], depth: int, length: int, on_path: set[int])
         and obj.cdr.cdr is None
     ):
         out.append(_QUOTE_ABBREV[obj.car.name])
-        _write(obj.cdr.car, out, depth - 1, length, on_path)
+        _write(obj.cdr.car, out, depth - 1, length, on_path, names)
         return
     on_path.add(id(obj))
     out.append("(")
@@ -100,13 +109,13 @@ def _write(obj: Any, out: list[str], depth: int, length: int, on_path: set[int])
             break
         if not first:
             out.append(" ")
-        _write(node.car, out, depth - 1, length, on_path)
+        _write(node.car, out, depth - 1, length, on_path, names)
         first = False
         count += 1
         node = _unwrap_future(node.cdr)
     if node is not None:
         out.append(" . ")
-        _write(node, out, depth - 1, length, on_path)
+        _write(node, out, depth - 1, length, on_path, names)
     out.append(")")
     on_path.discard(id(obj))
 
@@ -133,9 +142,10 @@ _BODY_FORMS = {
 _PRETTY_WIDTH = 78
 
 
-def pretty_str(obj: Any, indent: int = 0) -> str:
-    """Render ``obj`` with indentation suitable for program text."""
-    flat = write_str(obj)
+def pretty_str(obj: Any, indent: int = 0, names: Names = None) -> str:
+    """Render ``obj`` with indentation suitable for program text
+    (``names`` as in :func:`write_str`)."""
+    flat = write_str(obj, names=names)
     if len(flat) + indent <= _PRETTY_WIDTH or not isinstance(obj, Cons):
         return flat
 
@@ -150,21 +160,23 @@ def pretty_str(obj: Any, indent: int = 0) -> str:
 
     if isinstance(head, Symbol) and head.name in _BODY_FORMS:
         keep = _BODY_FORMS[head.name] + 1
-        head_parts = [write_str(x) for x in items[:keep]]
+        head_parts = [write_str(x, names=names) for x in items[:keep]]
         head_line = "(" + " ".join(head_parts)
         body_indent = indent + 2
         lines = [head_line]
         for sub in items[keep:]:
-            lines.append(" " * body_indent + pretty_str(sub, body_indent))
+            lines.append(" " * body_indent
+                         + pretty_str(sub, body_indent, names))
         return "\n".join(lines) + ")"
 
     # Generic call: align arguments under the first argument.
-    head_txt = write_str(items[0]) if items else ""
+    head_txt = write_str(items[0], names=names) if items else ""
     arg_indent = indent + len(head_txt) + 2
     if items[1:]:
-        parts = [pretty_str(items[1], arg_indent)]
+        parts = [pretty_str(items[1], arg_indent, names)]
         for sub in items[2:]:
-            parts.append(" " * arg_indent + pretty_str(sub, arg_indent))
+            parts.append(" " * arg_indent
+                         + pretty_str(sub, arg_indent, names))
         return "(" + head_txt + " " + "\n".join(parts) + ")"
     return "(" + head_txt + ")"
 

@@ -4,11 +4,13 @@ the ``"wall"`` section)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
 from repro import api
+from repro.sexpr.datum import DEFAULT_SYMBOLS
 
 FIG5 = """
 (declaim (sapp f5 l))
@@ -21,6 +23,17 @@ FIG5 = """
 """
 
 PLAIN = "(defun g (x) (* x 2))"
+
+#: A strict self-call under a reorderable +: converted to iteration,
+#: whose output is dense with gensyms.
+STRICT = """
+(declaim (reorderable +))
+(defun weigh (n) n)
+(defun strict-sum (weighted-items)
+  (if (null weighted-items) 0
+      (+ (progn (weigh 3) (* 7 (car weighted-items)))
+         (strict-sum (cdr weighted-items)))))
+"""
 
 
 class TestAnalyze:
@@ -187,6 +200,31 @@ class TestDeterminism:
         assert api.content_digest({"a": 1, "b": 2}) == \
             api.content_digest({"b": 2, "a": 1})
         assert api.content_digest({"a": 1}) != api.content_digest({"a": 2})
+
+
+class TestRenderingIgnoresProcessHistory:
+    """Gensyms come from a process-global counter; the rendered result
+    must not depend on how far it has run (regression: line breaks were
+    chosen for the raw names, before renumbering)."""
+
+    @pytest.mark.parametrize("source, function, options", [
+        (STRICT, "strict-sum", api.TransformOptions()),
+        (FIG5, "f5", api.TransformOptions()),
+        (FIG5, "f5", api.TransformOptions(early_release=True)),
+        (FIG5, "f5", api.TransformOptions(whole_program=True)),
+    ], ids=["strict", "fig5", "fig5-early-release", "fig5-whole-program"])
+    def test_same_bytes_after_the_counter_grows(self, monkeypatch, source,
+                                                function, options):
+        monkeypatch.setattr(DEFAULT_SYMBOLS, "_gensym_counter",
+                            itertools.count(1))
+        before = api.transform(source, function, options)
+        # Every gensym name now carries at least seven digits.
+        monkeypatch.setattr(DEFAULT_SYMBOLS, "_gensym_counter",
+                            itertools.count(10 ** 6))
+        after = api.transform(source, function, options)
+        assert "#:" in "".join(itertools.chain(*before.forms))
+        assert after.forms == before.forms
+        assert after.report_text == before.report_text
 
 
 class TestResultShape:

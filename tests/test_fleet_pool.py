@@ -24,8 +24,8 @@ FIG5 = """
 (setq data (list 1 2 3 4))
 """
 
-#: ~40µs of simulated work per iteration — (spin 20000) is slow enough
-#: to reliably kill/cancel mid-computation.
+#: (spin 50000) runs for about a quarter of a second, slow enough to
+#: reliably kill/cancel mid-computation.
 SLOW_SRC = "(defun spin (n) (let ((i 0)) (while (< i n) (setq i (1+ i))) i))"
 
 
@@ -47,7 +47,7 @@ def engine(counts):
     pool.close()
 
 
-def slow_params(n=20000):
+def slow_params(n=50000):
     return {"source": SLOW_SRC, "expr": f"(spin {n})", "processors": 1}
 
 

@@ -35,7 +35,7 @@ FIG5 = """
 (setq data (list 1 2 3 4))
 """
 
-#: ~40µs of simulated work per iteration — (spin 8000) ≈ 300ms wall.
+#: (spin 20000) runs for about 0.1 s: long enough to hold a worker.
 SLOW_SRC = "(defun spin (n) (let ((i 0)) (while (< i n) (setq i (1+ i))) i))"
 
 
@@ -43,7 +43,7 @@ def _run_params(expr="(progn (f5-cc data) (identity data))", **extra):
     return {"source": FIG5, "expr": expr, "transform": ["f5"], **extra}
 
 
-def _slow_params(n=8000, **extra):
+def _slow_params(n=20000, **extra):
     return {"source": SLOW_SRC, "expr": f"(spin {n})", "processors": 1,
             **extra}
 
@@ -198,7 +198,7 @@ class TestDeadlines:
             while service.in_flight == 0:
                 time.sleep(0.005)
             expired = service.handle(_request(
-                "run", _slow_params(7999), request_id="late",
+                "run", _slow_params(19999), request_id="late",
                 deadline_ms=10.0))
             assert expired["error"]["code"] == "deadline_exceeded"
             slow.join()
