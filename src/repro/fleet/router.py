@@ -360,6 +360,8 @@ class ShardRouter(NdjsonServer):
 
     def on_drain(self) -> None:
         self._prober.stop()
+        if self._op_cache is not None:
+            self._op_cache.close()
 
     # -- the event-loop front ----------------------------------------------
     #
@@ -690,17 +692,21 @@ class ShardRouter(NdjsonServer):
         configured), then the backend itinerary; successful results are
         published back to the shared cache so one shard's computation
         warms every peer."""
-        if self._op_cache is not None:
-            result = self._op_cache.get(request.op, dict(request.params))
-            if result is not None:
-                self._count("fleet.shared_cache.hits")
-                self._count("fleet.request.ok")
-                self._cache_put(key, result)
-                return ("ok", result), "shared-cache"
-            self._count("fleet.shared_cache.misses")
+        shared = self._op_cache
+        if shared is None:
+            return self._route_backends(request, key, start)
+        params = dict(request.params)
+        shared_key = shared.key(request.op, params)
+        result = shared.get(request.op, params, shared_key)
+        if result is not None:
+            self._count("fleet.shared_cache.hits")
+            self._count("fleet.request.ok")
+            self._cache_put(key, result)
+            return ("ok", result), "shared-cache"
+        self._count("fleet.shared_cache.misses")
         outcome, route = self._route_backends(request, key, start)
-        if outcome[0] == "ok" and self._op_cache is not None:
-            self._op_cache.put(request.op, dict(request.params), outcome[1])
+        if outcome[0] == "ok":
+            shared.put(request.op, params, outcome[1], shared_key)
         return outcome, route
 
     def _route_backends(self, request: Request, key: str,

@@ -30,12 +30,14 @@ from repro.lisp.effects import (
     QueueGet,
     QueuePut,
     Tick,
+    VarWrite,
     WaitFuture,
 )
 from repro.lisp.errors import WrongType
 from repro.lisp.structs import StructInstance
 from repro.lisp.values import Builtin, Closure, Future, LockHandle, TaskQueue
-from repro.sexpr.datum import Cons, Symbol, lisp_list
+from repro.lisp.vectors import VECTOR_BUILTINS
+from repro.sexpr.datum import Cons, Symbol, SymbolTable, lisp_list
 
 
 class HashTable:
@@ -374,6 +376,36 @@ def _gb_print(interp: Any, value: Any):
     return value
 
 
+# §2's escape hatches: "only the most general features of Lisp, such as
+# the set and eval functions, frustrate this analysis ... a program
+# analyzer can reasonably assume the worst about their side-effects."
+# They work at runtime; the analyzer treats a caller as fully opaque.
+
+
+def _gb_set(interp: Any, name: Any, value: Any):
+    """(set 'sym value) — assign through a computed symbol (the target
+    is data, not syntax)."""
+    if not isinstance(name, Symbol):
+        raise WrongType("a symbol", name, "set")
+    yield VarWrite(name, value)
+    yield Tick(1, "set")
+    interp.globals.define(name, value)
+    return value
+
+
+def _gb_symbol_value(interp: Any, name: Any):
+    if not isinstance(name, Symbol):
+        raise WrongType("a symbol", name, "symbol-value")
+    yield Tick(1, "symbol-value")
+    return interp.globals.lookup(name)
+
+
+def _gb_eval(interp: Any, form: Any):
+    """(eval datum) — full evaluation of data as code."""
+    yield Tick(2, "eval")
+    return (yield from interp.eval_gen(form, interp.globals))
+
+
 # ---------------------------------------------------------------------------
 # Hash tables
 # ---------------------------------------------------------------------------
@@ -596,7 +628,17 @@ def _gb_queue_length(interp: Any, queue: Any):
 # ---------------------------------------------------------------------------
 
 
-def install_builtins(interp: Any) -> None:
+def builtin_table(symbols: SymbolTable) -> dict[Symbol, Builtin]:
+    """Symbol -> primitive, for every builtin, keyed in ``symbols``.
+
+    Input-independent constant data: ``Interpreter`` builds it once per
+    symbol table (``symbols.derived(builtin_table)``) and copies the
+    dict, so ``defun``/``define_builtin`` in one world never reach
+    another.  A :class:`Builtin` is immutable and takes the interpreter
+    as an argument, so one object serves every world.
+    """
+    from repro.lisp.interpreter import cxr_ops
+
     B = Builtin
 
     pure = [
@@ -637,9 +679,6 @@ def install_builtins(interp: Any) -> None:
             lambda a: _lisp_bool(isinstance(a, (Cons, StructInstance, HashTable))),
         ),
     ]
-    for b in pure:
-        interp.define_builtin(b)
-
     gen = [
         B("car", _gb_car, is_generator=True, reads_memory=True),
         B("cdr", _gb_cdr, is_generator=True, reads_memory=True),
@@ -686,23 +725,23 @@ def install_builtins(interp: Any) -> None:
         B("close-queue!", _gb_close_queue, is_generator=True),
         B("queue-length", _gb_queue_length, is_generator=True),
     ]
-    for b in gen:
-        interp.define_builtin(b)
-
-    # Arrays.
-    from repro.lisp.vectors import install_vector_builtins
-
-    install_vector_builtins(interp)
-
     # Composed c[ad]{2,4}r accessors.
-    from repro.lisp.interpreter import cxr_ops
-
+    cxrs = []
     for depth in (2, 3, 4):
         for combo in itertools.product("ad", repeat=depth):
             name = "c" + "".join(combo) + "r"
-            interp.define_builtin(
+            cxrs.append(
                 B(name, _make_cxr(cxr_ops(name), name), is_generator=True, reads_memory=True)
             )
+    escapes = [
+        B("set", _gb_set, is_generator=True, writes_memory=True),
+        B("symbol-value", _gb_symbol_value, is_generator=True, reads_memory=True),
+        B("eval", _gb_eval, is_generator=True, reads_memory=True, writes_memory=True),
+    ]
+    return {
+        symbols.intern(b.name): b
+        for b in itertools.chain(pure, gen, VECTOR_BUILTINS, cxrs, escapes)
+    }
 
 
-__all__ = ["install_builtins", "HashTable", "location_key", "hash_put_gen"]
+__all__ = ["builtin_table", "HashTable", "location_key", "hash_put_gen"]

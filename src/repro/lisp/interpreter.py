@@ -29,6 +29,7 @@ from repro.lisp.effects import (
     SpawnProcess,
     Tick,
 )
+from repro.lisp.builtins import builtin_table
 from repro.lisp.env import Environment
 from repro.lisp.errors import (
     ArityError,
@@ -38,6 +39,7 @@ from repro.lisp.errors import (
     UndefinedFunction,
     WrongType,
 )
+from repro.lisp.prelude import install_prelude
 from repro.lisp.structs import StructInstance, StructType
 from repro.lisp.values import Builtin, Closure, Future, Macro
 from repro.sexpr.datum import Cons, Symbol, SymbolTable, DEFAULT_SYMBOLS, list_to_pylist
@@ -74,7 +76,9 @@ class Interpreter:
     def __init__(self, symbols: Optional[SymbolTable] = None):
         self.symbols = symbols if symbols is not None else DEFAULT_SYMBOLS
         self.globals = Environment()
-        self.functions: dict[Symbol, Any] = {}
+        # This world's own copy of the per-table builtin dict.
+        self.functions: dict[Symbol, Any] = dict(
+            self.symbols.derived(builtin_table))
         self.macros: dict[Symbol, Macro] = {}
         self.structs: dict[str, StructType] = {}
         # accessor name -> (StructType, field); filled by defstruct.
@@ -83,11 +87,6 @@ class Interpreter:
         # Lazily-attached repro.lisp.compile.Compiler (see get_compiler);
         # the interpreter itself never touches it.
         self.compiler: Optional[Any] = None
-        from repro.lisp.builtins import install_builtins
-
-        install_builtins(self)
-        from repro.lisp.prelude import install_prelude
-
         install_prelude(self)
 
     # -- helpers ---------------------------------------------------------

@@ -4,11 +4,8 @@ Loaded into every interpreter at construction.  Everything here expands
 to core forms before analysis (``macroexpand_all``), so the IR and the
 conflict detector never see these names.
 
-Also defines the §2 escape hatches ``set`` and ``eval`` — "only the most
-general features of Lisp, such as the set and eval functions, frustrate
-this analysis ... a program analyzer can reasonably assume the worst
-about their side-effects."  They work at runtime; the analyzer treats a
-function that calls them as fully opaque (serialization fallback).
+The §2 escape hatches ``set``/``symbol-value``/``eval`` are ordinary
+builtins (:func:`repro.lisp.builtins.builtin_table`).
 """
 
 from __future__ import annotations
@@ -55,11 +52,8 @@ _PRELUDE_FORMS = LRUCache("lisp.prelude", maxsize=4)
 
 
 def install_prelude(interp: Any) -> None:
-    """Evaluate the prelude macros and define set/eval builtins."""
-    from repro.lisp.effects import Tick, VarWrite
-    from repro.lisp.errors import WrongType
-    from repro.lisp.values import Builtin
-    from repro.sexpr.datum import DEFAULT_SYMBOLS, Symbol
+    """Evaluate the prelude macros into ``interp``."""
+    from repro.sexpr.datum import DEFAULT_SYMBOLS
 
     # Macros: drain the definition effects directly (defmacro only ticks).
     from repro.lisp.interpreter import _drain
@@ -74,37 +68,3 @@ def install_prelude(interp: Any) -> None:
         forms = interp.load(PRELUDE)
     for form in forms:
         _drain(interp.eval_gen(form, interp.globals))
-
-    def _gb_set(interp_: Any, name: Any, value: Any):
-        """(set 'sym value) — assign through a computed symbol (§2's
-        analysis frustrator: the target is data, not syntax)."""
-        if not isinstance(name, Symbol):
-            raise WrongType("a symbol", name, "set")
-        yield VarWrite(name, value)
-        yield Tick(1, "set")
-        interp_.globals.define(name, value)
-        return value
-
-    def _gb_symbol_value(interp_: Any, name: Any):
-        if not isinstance(name, Symbol):
-            raise WrongType("a symbol", name, "symbol-value")
-        yield Tick(1, "symbol-value")
-        return interp_.globals.lookup(name)
-
-    def _gb_eval(interp_: Any, form: Any):
-        """(eval datum) — full evaluation of data as code (the other §2
-        frustrator)."""
-        yield Tick(2, "eval")
-        return (yield from interp_.eval_gen(form, interp_.globals))
-
-    interp.define_builtin(
-        Builtin("set", _gb_set, is_generator=True, writes_memory=True)
-    )
-    interp.define_builtin(
-        Builtin("symbol-value", _gb_symbol_value, is_generator=True,
-                reads_memory=True)
-    )
-    interp.define_builtin(
-        Builtin("eval", _gb_eval, is_generator=True,
-                reads_memory=True, writes_memory=True)
-    )

@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.lisp.effects import LockAcquire, LockRelease, MemRead, MemWrite, Tick
 from repro.lisp.errors import WrongType
+from repro.lisp.values import Builtin
 
 _vector_ids = itertools.count(1)
 
@@ -136,18 +137,15 @@ def _gb_read_unlock_aref(interp: Any, vec: Any, index: Any):
     return None
 
 
-def install_vector_builtins(interp: Any) -> None:
-    from repro.lisp.values import Builtin as B
-
-    for builtin in (
-        B("make-array", _gb_make_array, is_generator=True),
-        B("aref", _gb_aref, is_generator=True, reads_memory=True),
-        B("aset", _gb_aset, is_generator=True, writes_memory=True),
-        B("array-length", _gb_array_length, is_generator=True),
-        B("arrayp", _gb_arrayp, is_generator=True),
-        B("lock-aref!", _gb_lock_aref, is_generator=True, cost=2),
-        B("unlock-aref!", _gb_unlock_aref, is_generator=True, cost=1),
-        B("read-lock-aref!", _gb_read_lock_aref, is_generator=True, cost=2),
-        B("read-unlock-aref!", _gb_read_unlock_aref, is_generator=True, cost=1),
-    ):
-        interp.define_builtin(builtin)
+#: The array builtins (joined into ``builtins.builtin_table``).
+VECTOR_BUILTINS = (
+    Builtin("make-array", _gb_make_array, is_generator=True),
+    Builtin("aref", _gb_aref, is_generator=True, reads_memory=True),
+    Builtin("aset", _gb_aset, is_generator=True, writes_memory=True),
+    Builtin("array-length", _gb_array_length, is_generator=True),
+    Builtin("arrayp", _gb_arrayp, is_generator=True),
+    Builtin("lock-aref!", _gb_lock_aref, is_generator=True, cost=2),
+    Builtin("unlock-aref!", _gb_unlock_aref, is_generator=True, cost=1),
+    Builtin("read-lock-aref!", _gb_read_lock_aref, is_generator=True, cost=2),
+    Builtin("read-unlock-aref!", _gb_read_unlock_aref, is_generator=True, cost=1),
+)

@@ -168,6 +168,9 @@ class ResultCache:
         """Store a payload atomically under its key."""
         self._write(key, make_entry(key, payload))
 
+    def close(self) -> None:
+        """Nothing held open (the surface :class:`NetworkCache` shares)."""
+
     def get_entry(self, key: str) -> Optional[dict]:
         """Whole-entry read for the cache server: the wire carries the
         full envelope so clients can re-verify ``payload_sha256``

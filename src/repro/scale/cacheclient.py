@@ -27,16 +27,22 @@ Two layers, both speaking the entry envelope of
   transform edits just like analyze-family sweep jobs.
 
 The wire format is the ``repro serve`` NDJSON protocol
-(:mod:`repro.serve.protocol`), one short-lived connection per call —
-the same failure model as the router's backend transport.
+(:mod:`repro.serve.protocol`) over kept connections: a call borrows an
+idle connection (or opens one) and returns it after a whole response.
+A kept connection that fails before any response byte (the server
+restarted or dropped it) is retried once on a fresh connection; any
+other failure is a transport error, as with one connection per call.
 """
 
 from __future__ import annotations
 
+import os
 import socket
+import threading
 import time
+import weakref
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.scale.cache import (
     HIT,
@@ -73,7 +79,12 @@ class CacheTransportError(Exception):
 
 
 class _ServerLink:
-    """One-connection-per-call NDJSON transport to the cache server."""
+    """NDJSON transport to the cache server over kept connections.
+
+    Idle connections wait in a lock-guarded pool; a caller takes one or
+    opens its own, so the pool never holds more than the peak number of
+    concurrent callers.
+    """
 
     def __init__(self, spec: str, connect_timeout_s: float = 1.0,
                  call_timeout_s: float = 5.0):
@@ -81,48 +92,112 @@ class _ServerLink:
         self.host, self.port = parse_server(spec)
         self.connect_timeout_s = connect_timeout_s
         self.call_timeout_s = call_timeout_s
+        self._lock = threading.Lock()
+        self._idle: List[socket.socket] = []
+        self._closed = False
+        _LINKS.add(self)
+        # Idle connections die with their link if no owner closed it.
+        weakref.finalize(self, _close_all, self._idle)
 
     def call(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.serve.protocol import decode_response, request_line
 
         line = request_line(op, params, request_id="c1")
-        try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout_s)
-        except OSError as err:
-            raise CacheTransportError(str(err)) from None
-        try:
-            sock.settimeout(max(0.01, self.call_timeout_s))
+        with self._lock:
+            sock = self._idle.pop() if self._idle else None
+        reply = None
+        if sock is not None:
+            # None: the server dropped it (a restart?); one fresh try.
+            reply = self._exchange(sock, line, kept=True)
+        if reply is None:
             try:
-                sock.sendall(line)
-                buf = b""
-                while b"\n" not in buf:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        raise CacheTransportError(
-                            "connection closed before a full response")
-                    buf += chunk
-            except socket.timeout:
-                raise CacheTransportError(
-                    f"no response within {self.call_timeout_s:.3f}s"
-                ) from None
+                sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.connect_timeout_s)
             except OSError as err:
                 raise CacheTransportError(str(err)) from None
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            reply = self._exchange(sock, line, kept=False)
         try:
-            return decode_response(buf.split(b"\n", 1)[0])
+            return decode_response(reply)
         except ValueError as err:
             raise CacheTransportError(f"malformed response: {err}") from None
+
+    def _exchange(self, sock: socket.socket, line: bytes,
+                  kept: bool) -> Optional[bytes]:
+        """Send ``line`` and read one response line; the socket goes
+        back to the pool after a clean exchange and is closed otherwise.
+        Returns None for a ``kept`` socket that failed before any
+        response byte; raises :class:`CacheTransportError` otherwise."""
+        buf = b""
+        try:
+            sock.settimeout(max(0.01, self.call_timeout_s))
+            sock.sendall(line)
+            while b"\n" not in buf:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    raise ConnectionError(
+                        "connection closed before a full response")
+                buf += chunk
+        except socket.timeout:
+            _close(sock)
+            raise CacheTransportError(
+                f"no response within {self.call_timeout_s:.3f}s") from None
+        except OSError as err:
+            _close(sock)
+            if kept and not buf:
+                return None
+            raise CacheTransportError(str(err)) from None
+        reply, _, rest = buf.partition(b"\n")
+        with self._lock:
+            if not rest and not self._closed:
+                self._idle.append(sock)
+                sock = None
+        if sock is not None:
+            _close(sock)
+        return reply
+
+    def close(self) -> None:
+        """Close the idle connections; calls after this close theirs."""
+        with self._lock:
+            self._closed = True
+            idle = self._idle[:]
+            self._idle.clear()
+        _close_all(idle)
+
+
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+def _close_all(socks: List[socket.socket]) -> None:
+    for sock in socks:
+        _close(sock)
+
+
+#: Every live link, so a forked child (a process-executor worker) can
+#: drop the idle connections it inherited.
+_LINKS: "weakref.WeakSet[_ServerLink]" = weakref.WeakSet()
+
+
+def _forget_links() -> None:
+    # In the child: close its copies of the parent's idle connections
+    # (the parent's stay open), under a fresh lock, since a parent
+    # thread may have held the old one across the fork.
+    for link in list(_LINKS):
+        link._lock = threading.Lock()
+        link.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_links)
 
 
 class NetworkCache:
     """Two-tier result cache: optional local directory + shared server.
 
-    ``get``/``put``/``stats`` match :class:`ResultCache`, so the sweep
+    ``get``/``put``/``stats``/``close`` match ``ResultCache``, so the sweep
     driver (and anything else holding a cache) cannot tell the tiers
     apart — except that a warm server turns a cold machine's misses
     into hits.
@@ -198,6 +273,10 @@ class NetworkCache:
             "remote_errors": self.remote_errors,
         }
 
+    def close(self) -> None:
+        """Close the kept connections to the server."""
+        self._link.close()
+
     # -- the wire -----------------------------------------------------------
 
     def _remote_get(self, key: str) -> Optional[dict]:
@@ -239,37 +318,53 @@ class NetworkCache:
 class OpCache:
     """Facade-op results through the shared cache, for serve shards and
     the router.  ``get``/``put`` never raise — a sick cache tier must
-    not take the request path down with it."""
+    not take the request path down with it.  A caller that looks up
+    and then stores one request passes the :meth:`key` it computed
+    once to both."""
 
     def __init__(self, server: str, local_root: "str | Path | None" = None,
                  **kwargs: Any):
         self.cache = NetworkCache(server, local_root, **kwargs)
 
-    def key(self, op: str, params: Dict[str, Any]) -> str:
+    def key(self, op: str, params: Dict[str, Any]) -> Optional[str]:
+        """The op's cache key; None when it cannot be computed."""
         from repro.scale.fingerprint import stage_fingerprints
 
         stage = OP_STAGES.get(op, "machine")
-        return cache_key({
-            "kind": "op",
-            "stage": stage,
-            "fingerprint": stage_fingerprints()[stage],
-            "op": op,
-            "params": params,
-        })
-
-    def get(self, op: str, params: Dict[str, Any]) -> Optional[dict]:
         try:
-            status, payload = self.cache.get(self.key(op, params))
+            return cache_key({
+                "kind": "op",
+                "stage": stage,
+                "fingerprint": stage_fingerprints()[stage],
+                "op": op,
+                "params": params,
+            })
+        except (TypeError, ValueError, OSError):
+            return None
+
+    def get(self, op: str, params: Dict[str, Any],
+            key: Optional[str] = None) -> Optional[dict]:
+        key = key or self.key(op, params)
+        if key is None:
+            return None
+        try:
+            status, payload = self.cache.get(key)
         except Exception:
             return None
         return payload if status == HIT else None
 
     def put(self, op: str, params: Dict[str, Any],
-            result: Dict[str, Any]) -> None:
+            result: Dict[str, Any], key: Optional[str] = None) -> None:
+        key = key or self.key(op, params)
+        if key is None:
+            return
         try:
-            self.cache.put(self.key(op, params), result)
+            self.cache.put(key, result)
         except Exception:
             pass
 
     def stats(self) -> dict:
         return self.cache.stats()
+
+    def close(self) -> None:
+        self.cache.close()

@@ -122,6 +122,8 @@ def _worker_main(worker_id: int, task_q, result_q,
     while True:
         item = task_q.get()
         if item is None:
+            if cache is not None:
+                cache.close()
             return
         index, job = item
         try:
@@ -246,6 +248,8 @@ def _run_inline(jobs: List[SweepJob], cache_dir: Optional[str],
         outcome.wall_ms = (time.perf_counter() - start) * 1000.0
         _span_end(recorder, outcome, tid=0)
         outcomes.append(outcome)
+    if cache is not None:
+        cache.close()
     return outcomes
 
 

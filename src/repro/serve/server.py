@@ -418,15 +418,17 @@ class AnalysisService:
         op-cache client never raises; a sick cache tier degrades to
         computing.
         """
-        if self._op_cache is not None:
-            result = self._op_cache.get(flight.op, params)
-            if result is not None:
-                self._count("serve.cache.hits")
-                return result
-            self._count("serve.cache.misses")
+        cache = self._op_cache
+        if cache is None:
+            return self._engine_call(flight, params)
+        key = cache.key(flight.op, params)
+        result = cache.get(flight.op, params, key)
+        if result is not None:
+            self._count("serve.cache.hits")
+            return result
+        self._count("serve.cache.misses")
         result = self._engine_call(flight, params)
-        if self._op_cache is not None:
-            self._op_cache.put(flight.op, params, result)
+        cache.put(flight.op, params, result, key)
         return result
 
     def _engine_call(self, flight: _Flight,
@@ -481,6 +483,8 @@ class AnalysisService:
         self._executor.shutdown(wait=True)
         if self._engine is not None:
             self._engine.close()
+        if self._op_cache is not None:
+            self._op_cache.close()
 
     def close(self) -> None:
         self.drain()
@@ -533,7 +537,9 @@ class NdjsonServer:
         self._sock = None
         self._drain_requested = threading.Event()
         self._drained = threading.Event()
-        self._conn_threads: list = []
+        # Live connection threads; each removes itself when its
+        # connection closes, so drain joins only the open ones.
+        self._conn_threads: set = set()
         self._conn_lock = threading.Lock()
 
     # -- subclass hooks ----------------------------------------------------
@@ -595,7 +601,7 @@ class NdjsonServer:
                     target=self._handle_conn, args=(conn,), daemon=True
                 )
                 with self._conn_lock:
-                    self._conn_threads.append(thread)
+                    self._conn_threads.add(thread)
                 thread.start()
         finally:
             self._drain()
@@ -652,6 +658,8 @@ class NdjsonServer:
                 conn.close()
             except OSError:
                 pass
+            with self._conn_lock:
+                self._conn_threads.discard(threading.current_thread())
 
     def _process_line(self, line: bytes) -> bytes:
         text = line.decode("utf-8", errors="replace").strip()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 
 class Symbol:
@@ -65,8 +65,25 @@ class SymbolTable:
 
     def __init__(self) -> None:
         self._table: dict[str, Symbol] = {}
-        self._lock = threading.Lock()
+        # Reentrant: ``derived`` runs ``build``, which interns, under it.
+        self._lock = threading.RLock()
         self._gensym_counter = itertools.count()
+        self._derived: dict[Callable[["SymbolTable"], Any], Any] = {}
+
+    def derived(self, build: Callable[["SymbolTable"], Any]) -> Any:
+        """``build(self)``, built once per table under its lock.
+
+        For constant data keyed by this table's symbols that the layers
+        above need in every world (the builtin function table): every
+        caller, on any thread, gets the one result.
+        """
+        value = self._derived.get(build)
+        if value is None:
+            with self._lock:
+                value = self._derived.get(build)
+                if value is None:
+                    value = self._derived[build] = build(self)
+        return value
 
     def intern(self, name: str) -> Symbol:
         """Return the unique symbol named ``name`` (creating it if new)."""

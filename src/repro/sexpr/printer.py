@@ -70,54 +70,71 @@ def write_str(obj: Any, max_depth: int = 200, max_length: int = 10_000,
     by design).  ``names``, if given, maps each symbol's name to the
     name printed for it.
     """
-    out: list[str] = []
-    _write(obj, out, max_depth, max_length, set(), names)
-    return "".join(out)
+    return _write(obj, max_depth, max_length, set(), names, None)
 
 
-def _write(obj: Any, out: list[str], depth: int, length: int,
-           on_path: set[int], names: Names = None) -> None:
-    obj = _unwrap_future(obj)
-    if not isinstance(obj, Cons):
-        if names is not None and isinstance(obj, Symbol):
-            out.append(names[obj.name])
-        else:
-            out.append(_atom_str(obj))
-        return
+#: Key set in a ``_write`` text record when a guard fired.
+_GUARDED = None
+
+
+def _write(obj: Any, depth: int, length: int, on_path: set[int],
+           names: Names, texts: Optional[dict]) -> str:
+    """The text of ``obj``.  ``texts``, if given, gets the text of every
+    cons written, keyed by ``id``, and ``_GUARDED`` if a depth, length
+    or cycle guard fired (those texts then depend on where the write
+    began)."""
+    if obj.__class__ is not Cons:
+        obj = _unwrap_future(obj)
+        if not isinstance(obj, Cons):
+            if names is not None and isinstance(obj, Symbol):
+                return names[obj.name]
+            return _atom_str(obj)
     if depth <= 0 or id(obj) in on_path:
-        out.append("...")
-        return
+        if texts is not None:
+            texts[_GUARDED] = True
+        return "..."
+    car = obj.car
+    cdr = obj.cdr
     # Quote family abbreviation: (quote x) -> 'x
     if (
-        isinstance(obj.car, Symbol)
-        and obj.car.name in _QUOTE_ABBREV
-        and isinstance(obj.cdr, Cons)
-        and obj.cdr.cdr is None
+        isinstance(car, Symbol)
+        and car.name in _QUOTE_ABBREV
+        and isinstance(cdr, Cons)
+        and cdr.cdr is None
     ):
-        out.append(_QUOTE_ABBREV[obj.car.name])
-        _write(obj.cdr.car, out, depth - 1, length, on_path, names)
-        return
-    on_path.add(id(obj))
-    out.append("(")
-    node: Any = obj
-    count = 0
-    first = True
-    while isinstance(node, Cons):
-        if count >= length or (id(node) in on_path and node is not obj):
-            out.append(" ...")
-            node = None
-            break
-        if not first:
-            out.append(" ")
-        _write(node.car, out, depth - 1, length, on_path, names)
-        first = False
-        count += 1
-        node = _unwrap_future(node.cdr)
-    if node is not None:
-        out.append(" . ")
-        _write(node, out, depth - 1, length, on_path, names)
-    out.append(")")
-    on_path.discard(id(obj))
+        text = _QUOTE_ABBREV[car.name] + _write(
+            cdr.car, depth - 1, length, on_path, names, texts)
+    else:
+        on_path.add(id(obj))
+        parts: list[str] = []
+        tail = ""
+        node: Any = obj
+        count = 0
+        while isinstance(node, Cons):
+            if count >= length or (id(node) in on_path and node is not obj):
+                if texts is not None:
+                    texts[_GUARDED] = True
+                tail = " ..."
+                node = None
+                break
+            car = node.car
+            if car.__class__ is Symbol:  # the common atom, inline
+                parts.append(car.name if names is None else names[car.name])
+            else:
+                parts.append(_write(car, depth - 1, length, on_path, names,
+                                    texts))
+            count += 1
+            cdr = node.cdr
+            node = cdr if cdr is None or cdr.__class__ is Cons \
+                else _unwrap_future(cdr)
+        if node is not None:
+            tail = " . " + _write(node, depth - 1, length, on_path, names,
+                                  texts)
+        on_path.discard(id(obj))
+        text = "(" + " ".join(parts) + tail + ")"
+    if texts is not None:
+        texts[id(obj)] = text
+    return text
 
 
 # --- pretty printing ---------------------------------------------------
@@ -145,7 +162,30 @@ _PRETTY_WIDTH = 78
 def pretty_str(obj: Any, indent: int = 0, names: Names = None) -> str:
     """Render ``obj`` with indentation suitable for program text
     (``names`` as in :func:`write_str`)."""
-    flat = write_str(obj, names=names)
+    return _pretty(obj, indent, names, {})
+
+
+def _flat(obj: Any, names: Names, texts: dict) -> str:
+    """``write_str(obj, names=names)``, written once per pretty-print.
+
+    One write records the text of every cons under ``obj`` in
+    ``texts``, so the subforms the pretty printer descends into are
+    looked up, not re-written.  A write in which a guard fired is not
+    recorded: a subform's text there depends on the enclosing write.
+    """
+    if obj.__class__ is not Cons:
+        return _write(obj, 200, 10_000, set(), names, None)
+    text = texts.get(id(obj))
+    if text is None:
+        written: dict = {}
+        text = _write(obj, 200, 10_000, set(), names, written)
+        if _GUARDED not in written:
+            texts.update(written)
+    return text
+
+
+def _pretty(obj: Any, indent: int, names: Names, texts: dict) -> str:
+    flat = _flat(obj, names, texts)
     if len(flat) + indent <= _PRETTY_WIDTH or not isinstance(obj, Cons):
         return flat
 
@@ -160,23 +200,23 @@ def pretty_str(obj: Any, indent: int = 0, names: Names = None) -> str:
 
     if isinstance(head, Symbol) and head.name in _BODY_FORMS:
         keep = _BODY_FORMS[head.name] + 1
-        head_parts = [write_str(x, names=names) for x in items[:keep]]
+        head_parts = [_flat(x, names, texts) for x in items[:keep]]
         head_line = "(" + " ".join(head_parts)
         body_indent = indent + 2
         lines = [head_line]
         for sub in items[keep:]:
             lines.append(" " * body_indent
-                         + pretty_str(sub, body_indent, names))
+                         + _pretty(sub, body_indent, names, texts))
         return "\n".join(lines) + ")"
 
     # Generic call: align arguments under the first argument.
-    head_txt = write_str(items[0], names=names) if items else ""
+    head_txt = _flat(items[0], names, texts) if items else ""
     arg_indent = indent + len(head_txt) + 2
     if items[1:]:
-        parts = [pretty_str(items[1], arg_indent, names)]
+        parts = [_pretty(items[1], arg_indent, names, texts)]
         for sub in items[2:]:
             parts.append(" " * arg_indent
-                         + pretty_str(sub, arg_indent, names))
+                         + _pretty(sub, arg_indent, names, texts))
         return "(" + head_txt + " " + "\n".join(parts) + ")"
     return "(" + head_txt + ")"
 

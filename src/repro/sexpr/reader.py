@@ -35,15 +35,16 @@ class ReadError(Exception):
 
 _NUMBER_LEAD = frozenset("0123456789+-.")
 
+_ATOM = TokenKind.ATOM
+_LPAREN = TokenKind.LPAREN
+_RPAREN = TokenKind.RPAREN
+_STRING = TokenKind.STRING
+_DOT = TokenKind.DOT
+_EOF = TokenKind.EOF
+
 
 def _parse_number(text: str) -> Optional[Any]:
-    """Parse ``text`` as an int or float, or return None if not numeric.
-
-    The leading-character screen lets the overwhelmingly common case — a
-    symbol name — skip the exception-based probes entirely.
-    """
-    if text[0] not in _NUMBER_LEAD:
-        return None
+    """Parse ``text`` as an int or float, or return None if not numeric."""
     try:
         return int(text)
     except ValueError:
@@ -89,28 +90,33 @@ class Reader:
     def _read_form(self, tokens: list[Token], pos: int) -> tuple[Any, int]:
         tok = tokens[pos]
         kind = tok.kind
-        if kind is TokenKind.EOF:
-            raise ReadError("unexpected end of input", tok)
-        if kind is TokenKind.LPAREN:
+        # Atoms are most of the tokens: test them first, by identity
+        # (hashing an Enum member is a Python-level call).
+        if kind is _ATOM:
+            return self._read_atom(tok), pos + 1
+        if kind is _LPAREN:
             return self._read_list(tokens, pos + 1, tok)
-        if kind is TokenKind.RPAREN:
-            raise ReadError("unexpected ')'", tok)
-        if kind is TokenKind.DOT:
-            raise ReadError("'.' outside list", tok)
-        if kind in self._WRAPPERS:
-            inner, pos = self._read_form(tokens, pos + 1)
-            wrapper = self.symbols.intern(self._WRAPPERS[kind])
-            return Cons(wrapper, Cons(inner, None)), pos
-        if kind is TokenKind.STRING:
+        if kind is _STRING:
             return tok.text, pos + 1
-        # ATOM
-        return self._read_atom(tok), pos + 1
+        if kind is _EOF:
+            raise ReadError("unexpected end of input", tok)
+        if kind is _RPAREN:
+            raise ReadError("unexpected ')'", tok)
+        if kind is _DOT:
+            raise ReadError("'.' outside list", tok)
+        # The quote family.
+        inner, pos = self._read_form(tokens, pos + 1)
+        wrapper = self.symbols.intern(self._WRAPPERS[kind])
+        return Cons(wrapper, Cons(inner, None)), pos
 
     def _read_atom(self, tok: Token) -> Any:
         text = tok.text
-        num = _parse_number(text)
-        if num is not None:
-            return num
+        # The leading-character screen lets the common case, a symbol
+        # name, skip the exception-based number probes.
+        if text[0] in _NUMBER_LEAD:
+            num = _parse_number(text)
+            if num is not None:
+                return num
         # Source is almost always already lower-case; skip the copy then.
         name = text if text.islower() else text.lower()
         if name == "nil":
@@ -121,25 +127,36 @@ class Reader:
 
     def _read_list(self, tokens: list[Token], pos: int, open_tok: Token) -> tuple[Any, int]:
         items: list[Any] = []
+        append = items.append
+        read_atom = self._read_atom
         tail: Any = None
         while True:
             tok = tokens[pos]
-            if tok.kind is TokenKind.EOF:
-                raise ReadError("unterminated list", open_tok)
-            if tok.kind is TokenKind.RPAREN:
+            kind = tok.kind
+            if kind is _ATOM:
+                append(read_atom(tok))
+                pos += 1
+                continue
+            if kind is _LPAREN:
+                form, pos = self._read_list(tokens, pos + 1, tok)
+                append(form)
+                continue
+            if kind is _RPAREN:
                 pos += 1
                 break
-            if tok.kind is TokenKind.DOT:
+            if kind is _EOF:
+                raise ReadError("unterminated list", open_tok)
+            if kind is _DOT:
                 if not items:
                     raise ReadError("'.' at start of list", tok)
                 tail, pos = self._read_form(tokens, pos + 1)
                 closer = tokens[pos]
-                if closer.kind is not TokenKind.RPAREN:
+                if closer.kind is not _RPAREN:
                     raise ReadError("expected ')' after dotted tail", closer)
                 pos += 1
                 break
             form, pos = self._read_form(tokens, pos)
-            items.append(form)
+            append(form)
         result: Any = tail
         for item in reversed(items):
             result = Cons(item, result)

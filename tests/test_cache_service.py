@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -267,3 +268,184 @@ class TestServeShardSharing:
             assert b["result"] == a["result"]
         finally:
             second.close()
+
+
+class _CountingServer(CacheServer):
+    """A cache server that counts the connections it accepts."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.accepted = 0
+
+    def _handle_conn(self, conn):
+        with self._conn_lock:
+            self.accepted += 1
+        super()._handle_conn(conn)
+
+
+def _serve(srv):
+    srv.start()
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    return srv
+
+
+class TestKeptLink:
+    """The link keeps its connection open across calls, retries a
+    dropped one once, and never lends it to a forked child."""
+
+    def test_one_connection_for_many_calls(self, tmp_path):
+        srv = _serve(_CountingServer(
+            CacheServeConfig(root=str(tmp_path / "root"))))
+        try:
+            ops = OpCache(_spec(srv))
+            for i in range(10):
+                params = {"source": f"(defun f (x) {i})", "function": "f"}
+                assert ops.get("analyze", params) is None
+                ops.put("analyze", params, PAYLOAD)
+                assert ops.get("analyze", params) == PAYLOAD
+            assert srv.accepted == 1
+            assert ops.stats()["remote_errors"] == 0
+            ops.close()
+        finally:
+            srv.stop(timeout=10)
+
+    def test_restarted_server_is_reached_again(self, tmp_path):
+        root = str(tmp_path / "root")
+        first = _serve(CacheServer(CacheServeConfig(root=root)))
+        host, port = first.address
+        cache = NetworkCache(f"{host}:{port}")
+        key = cache_key({"k": "restart"})
+        cache.put(key, PAYLOAD)
+        assert cache.stats()["remote_stores"] == 1
+        first.stop(timeout=10)  # drops the kept connection
+        second = _serve(CacheServer(CacheServeConfig(root=root,
+                                                     port=port)))
+        try:
+            assert cache.get(key) == (HIT, PAYLOAD)
+            assert cache.remote_hits == 1
+            assert cache.stats()["remote_errors"] == 0
+            assert cache.server_up()
+        finally:
+            cache.close()
+            second.stop(timeout=10)
+
+    def test_concurrent_callers_share_the_pool(self, tmp_path):
+        import sys
+
+        srv = _serve(_CountingServer(
+            CacheServeConfig(root=str(tmp_path / "root"))))
+        ops = OpCache(_spec(srv))
+        wrong = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def caller(n):
+                for i in range(15):
+                    params = {"caller": n, "i": i}
+                    ops.put("analyze", params, {"n": n, "i": i})
+                    if ops.get("analyze", params) != {"n": n, "i": i}:
+                        wrong.append((n, i))
+
+            threads = [threading.Thread(target=caller, args=(n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            ops.close()
+            srv.stop(timeout=10)
+        assert wrong == []
+        assert ops.stats()["remote_errors"] == 0
+        # At most one connection per concurrent caller, ever.
+        assert 1 <= srv.accepted <= 8
+
+    def test_closed_link_still_answers_without_keeping(self, server):
+        link = _ServerLink(_spec(server))
+        assert link.call("health", {})["ok"]
+        assert len(link._idle) == 1
+        link.close()
+        assert link._idle == []
+        assert link.call("health", {})["ok"]
+        assert link._idle == []
+
+    def test_forked_child_drops_inherited_connections(self, tmp_path):
+        import multiprocessing
+
+        srv = _serve(_CountingServer(
+            CacheServeConfig(root=str(tmp_path / "root"))))
+        ctx = multiprocessing.get_context("fork")
+        report = ctx.Queue()
+        release = ctx.Event()
+        proc = None
+        try:
+            link = _ServerLink(_spec(srv))
+            link.call("health", {})
+            assert len(link._idle) == 1
+
+            def child():
+                report.put(len(link._idle))
+                release.wait(10)
+
+            proc = ctx.Process(target=child)
+            proc.start()
+            assert report.get(timeout=10) == 0
+            # The child's close left the parent's connection working.
+            assert link.call("health", {})["ok"]
+            assert srv.accepted == 1
+            # Closed by the parent, the connection ends at the server
+            # while the child still lives: the child holds no copy.
+            link.close()
+            deadline = time.monotonic() + 10
+            while srv._conn_threads and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not srv._conn_threads
+            assert proc.is_alive()
+        finally:
+            release.set()
+            if proc is not None:
+                proc.join(timeout=10)
+            srv.stop(timeout=10)
+
+
+class TestConnectionThreads:
+    def test_one_shot_connections_are_not_tracked(self, server):
+        host, port = server.address
+        for _ in range(300):
+            with socket.create_connection((host, port), timeout=5) as conn:
+                conn.sendall(b'{"op": "health"}\n')
+                conn.makefile("rb").readline()
+        deadline = time.monotonic() + 10
+        while len(server._conn_threads) > 5 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(server._conn_threads) <= 5
+
+
+class TestServeThroughCache:
+    def test_one_key_and_one_connection_per_miss(self, tmp_path):
+        from repro.serve import AnalysisService, Request, ServeConfig
+
+        srv = _serve(_CountingServer(
+            CacheServeConfig(root=str(tmp_path / "root"))))
+        service = AnalysisService(ServeConfig(workers=1,
+                                              cache_server=_spec(srv)))
+        keys = []
+        op_cache = service._op_cache
+        compute_key = op_cache.key
+        op_cache.key = lambda *a: keys.append(a) or compute_key(*a)
+        try:
+            params = {"source": "(defun f (x) x)", "function": "f"}
+            for _ in range(2):  # a miss (get + put), then a hit
+                response = service.handle(Request(id="r", op="analyze",
+                                                  params=dict(params)))
+                assert response["ok"]
+            assert len(keys) == 2  # once per request, not per get/put
+            assert service.counters()["serve.cache.hits"] == 1
+            assert srv.accepted == 1
+        finally:
+            service.close()
+            srv.stop(timeout=10)
+        assert op_cache.cache._link._idle == []  # drain closed the link

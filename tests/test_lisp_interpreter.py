@@ -1,5 +1,8 @@
 """Unit tests: the evaluator — special forms, calls, closures, setf."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.lisp.errors import (
@@ -9,6 +12,10 @@ from repro.lisp.errors import (
     UnboundVariable,
     UndefinedFunction,
 )
+from repro.lisp.interpreter import Interpreter
+from repro.lisp.runner import SequentialRunner
+from repro.lisp.values import Builtin
+from repro.sexpr.datum import SymbolTable, intern
 from repro.sexpr.printer import write_str
 
 
@@ -245,3 +252,60 @@ class TestCosts:
         ev(runner, "(burn 100)")
         t_big = runner.time - t1
         assert t_big > t_small * 5
+
+
+class TestBuiltinWorlds:
+    """The builtin table is built once per symbol table; every
+    interpreter gets its own copy of it."""
+
+    def test_defun_over_a_builtin_stays_in_its_world(self):
+        one, two = Interpreter(), Interpreter()
+        assert one.functions is not two.functions
+        run_one, run_two = SequentialRunner(one), SequentialRunner(two)
+        ev(run_one, "(defun car (x) 42)")
+        assert ev(run_one, "(car '(1 2))") == 42
+        assert ev(run_two, "(car '(1 2))") == 1
+        assert ev(SequentialRunner(Interpreter()), "(car '(1 2))") == 1
+
+    def test_define_builtin_stays_in_its_world(self):
+        one, two = Interpreter(), Interpreter()
+        car = intern("car")
+        original = two.functions[car]
+        one.define_builtin(Builtin("car", lambda x: "mine"))
+        assert two.functions[car] is original
+        assert Interpreter().functions[car] is original
+        assert ev(SequentialRunner(one), "(car '(1 2))") == "mine"
+
+    def test_private_table_keys_builtins_by_its_own_symbols(self):
+        table = SymbolTable()
+        world = Interpreter(table)
+        assert world.functions
+        assert all(table.intern(sym.name) is sym for sym in world.functions)
+        assert not any(sym is intern(sym.name) for sym in world.functions)
+        assert ev(SequentialRunner(world), "(cadr (list 1 2 3))") == 2
+        assert ev(SequentialRunner(world), "(eval '(+ 1 2))") == 3
+
+    def test_concurrent_worlds_share_one_table_build(self):
+        table = SymbolTable()
+        worlds = []
+        start = threading.Barrier(8)
+
+        def build():
+            start.wait()
+            worlds.append(Interpreter(table))
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(worlds) == 8
+        car = table.intern("car")
+        assert len({id(world.functions[car]) for world in worlds}) == 1
+        assert len({id(world.functions) for world in worlds}) == 8
