@@ -273,8 +273,8 @@ class RunOptions:
     lock_wait_timeout: Optional[int] = None
     timeline: bool = False
     # "interpreter" | "compiled" | None (None = perf-layer default:
-    # compiled when the perf layer is enabled).  Both evaluators emit
-    # identical effect streams; the interpreter is the reference.
+    # compiled when the perf layer is enabled).  Both evaluators give
+    # identical runs; the interpreter is the reference.
     eval_mode: Optional[str] = None
 
 

@@ -157,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--eval-mode", choices=["interpreter", "compiled"],
                        default=None,
                        help="Lisp evaluation strategy (default: compiled "
-                            "when the perf layer is on; both emit "
-                            "identical effect streams)")
+                            "when the perf layer is on; both give "
+                            "identical runs)")
 
     p_serve = sub.add_parser(
         "serve", parents=[obs_common],

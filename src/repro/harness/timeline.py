@@ -1,7 +1,7 @@
 """ASCII timelines: the visual half of Figures 6 and 7.
 
-The machine samples how many processors are busy at every tick
-(``stats.concurrency_samples``) and the trace records per-process
+The machine records how many processors are busy at every tick
+(``stats.concurrency_runs``) and the trace records per-process
 spawn/finish times; this module renders both as text — an occupancy
 sparkline and a per-process Gantt chart — so examples and bench results
 can *show* the overlap the CRI model creates, the way the paper's
@@ -10,6 +10,7 @@ figures do.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from repro.runtime.machine import Machine, MachineStats
@@ -20,21 +21,36 @@ _BLOCKS = " ▁▂▃▄▅▆▇█"
 def occupancy_sparkline(
     stats: MachineStats, width: int = 72, processors: Optional[int] = None
 ) -> str:
-    """Busy-processor count over time, downsampled to ``width`` columns."""
-    samples = stats.concurrency_samples
-    if not samples:
+    """Busy-processor count over time, downsampled to ``width`` columns:
+    each column is the mean over its window of ticks."""
+    runs = stats.concurrency_runs
+    if not runs:
         return "(no samples)"
-    peak = processors if processors is not None else max(samples) or 1
-    if len(samples) <= width:
-        buckets = [float(s) for s in samples]
+    peak = (processors if processors is not None
+            else max(busy for busy, _ in runs) or 1)
+    starts = []  # the first tick of each run
+    before = []  # the busy-tick sum of the runs before it
+    ticks = busy_ticks = 0
+    for busy, length in runs:
+        starts.append(ticks)
+        before.append(busy_ticks)
+        ticks += length
+        busy_ticks += busy * length
+
+    def busy_before(tick: int) -> int:
+        i = bisect_right(starts, tick) - 1
+        return before[i] + runs[i][0] * (tick - starts[i])
+
+    if ticks <= width:
+        buckets = [float(busy) for busy, length in runs
+                   for _ in range(length)]
     else:
         buckets = []
-        step = len(samples) / width
+        step = ticks / width
         for col in range(width):
             lo = int(col * step)
-            hi = max(lo + 1, int((col + 1) * step))
-            window = samples[lo:hi]
-            buckets.append(sum(window) / len(window))
+            hi = min(max(lo + 1, int((col + 1) * step)), ticks)
+            buckets.append((busy_before(hi) - busy_before(lo)) / (hi - lo))
     line = "".join(
         _BLOCKS[min(len(_BLOCKS) - 1, round(v / peak * (len(_BLOCKS) - 1)))]
         for v in buckets

@@ -25,7 +25,13 @@ class Effect:
 
 @dataclass(frozen=True)
 class Tick(Effect):
-    """Consume ``cost`` simulated time units doing ``op``."""
+    """Consume ``cost`` simulated time units doing ``op``.
+
+    A driver may receive several operations' cost in one ``Tick``: the
+    compiled evaluator's trampoline merges each run of adjacent ticks
+    (``op`` is then ``"merged"``).  ``op`` is descriptive only; no
+    driver reads it.
+    """
 
     cost: int = 1
     op: str = "step"

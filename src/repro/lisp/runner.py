@@ -52,8 +52,9 @@ class SequentialRunner:
 
     ``eval_mode`` selects how forms become effect generators: the
     reference ``"interpreter"`` or the closure ``"compiled"`` evaluator
-    (:mod:`repro.lisp.compile`).  Both produce identical effect streams;
-    ``None`` defers to :func:`repro.perf.default_eval_mode`.
+    (:mod:`repro.lisp.compile`).  Both produce the same effect streams,
+    except that the compiled one charges each run of adjacent ticks as
+    one ``Tick``; ``None`` defers to :func:`repro.perf.default_eval_mode`.
     """
 
     def __init__(

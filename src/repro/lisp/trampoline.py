@@ -10,12 +10,20 @@ thousand pending Lisp frames cost ten thousand list slots, not ten
 thousand Python stack frames (the ``eval_k`` chain-loop idea).
 
 ``trampoline(gen)`` wraps an inner generator into an ordinary effect
-generator: every real :class:`~repro.lisp.effects.Effect` is re-yielded
-transparently (driver replies travel back via ``send``, driver
-exceptions via ``throw``), while :class:`Invoke` frames are consumed
-internally.  Drivers cannot tell a trampolined stream from an
-interpreter stream — that invariant is what keeps the race checker,
-flight recorder, and chaos harness oblivious to the evaluation mode.
+generator: every real :class:`~repro.lisp.effects.Effect` other than a
+:class:`~repro.lisp.effects.Tick` is re-yielded transparently (driver
+replies travel back via ``send``, driver exceptions via ``throw``),
+while :class:`Invoke` frames are consumed internally.
+
+Adjacent ticks are merged: between two visible effects a run of ticks
+is only a cost no other process can observe (§1.2), so the driver gets
+one ``Tick`` of the summed cost.  The run is flushed before the next
+other effect, before the outermost frame returns or raises (an error
+keeps its clock), and once its cost reaches :data:`TICK_RUN_CAP` (an
+endless pure loop still returns to the driver, so ``max_time`` fires);
+a lone tick passes through as it is.  Machine runs are the
+interpreter's to the tick, but effect streams match only after the
+interpreter's ticks are merged the same way.
 
 Nesting is safe: a trampoline inside a trampoline consumes its own
 ``Invoke`` frames and re-yields only real effects, so spawn thunks that
@@ -26,12 +34,15 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
-from repro.lisp.effects import Effect
+from repro.lisp.effects import Effect, Tick
 
 #: The effect-generator type compiled code and the interpreter share.
 EvalGen = Generator[Any, Any, Any]
 
-__all__ = ["Invoke", "trampoline", "EvalGen"]
+#: A run of ticks is flushed to the driver once its cost reaches this.
+TICK_RUN_CAP = 1024
+
+__all__ = ["Invoke", "trampoline", "EvalGen", "TICK_RUN_CAP"]
 
 
 class Invoke(Effect):
@@ -52,6 +63,12 @@ class Invoke(Effect):
         return "<invoke>"
 
 
+def _run_tick(first: Tick, ticks: int, cost: int) -> Tick:
+    """The one ``Tick`` a run of ``ticks`` ticks costing ``cost`` reaches
+    the driver as: its only tick, or a new one for the sum."""
+    return first if ticks == 1 else Tick(cost, "merged")
+
+
 def trampoline(gen: EvalGen) -> EvalGen:
     """Drive ``gen`` (and every frame it invokes) as one flat generator.
 
@@ -62,33 +79,57 @@ def trampoline(gen: EvalGen) -> EvalGen:
       interpreter; with no frame left they propagate to the driver.
     * Driver-side ``throw``/``close`` at a yield point are forwarded to
       the innermost live frame, matching nested-``yield from`` behavior.
+    * Adjacent ``Tick`` effects reach the driver merged (see above).
     """
     stack: List[EvalGen] = [gen]
     to_send: Any = None
     pending: Optional[BaseException] = None
+    first: Any = None  # the unflushed run's first Tick
+    ticks = cost = 0  # the run's length and summed cost
+    held: Any = None  # a visible effect waiting behind the run's flush
     while stack:
-        top = stack[-1]
-        try:
-            if pending is not None:
-                exc, pending = pending, None
-                item = top.throw(exc)
-            else:
-                item = top.send(to_send)
-        except StopIteration as stop:
-            stack.pop()
-            to_send = stop.value
-            continue
-        except BaseException as exc:
-            stack.pop()
-            if not stack:
-                raise
-            pending = exc
-            to_send = None
-            continue
-        if type(item) is Invoke:
-            stack.append(item.gen)
-            to_send = None
-            continue
+        if held is not None:
+            item, held = held, None
+        else:
+            top = stack[-1]
+            try:
+                if pending is not None:
+                    exc, pending = pending, None
+                    item = top.throw(exc)
+                else:
+                    item = top.send(to_send)
+            except StopIteration as stop:
+                stack.pop()
+                to_send = stop.value
+                continue
+            except BaseException as exc:
+                stack.pop()
+                if not stack:
+                    if first is not None:
+                        yield _run_tick(first, ticks, cost)
+                    raise
+                pending = exc
+                to_send = None
+                continue
+            if type(item) is Tick:
+                to_send = None
+                if first is None:
+                    first, ticks, cost = item, 1, item.cost
+                else:
+                    ticks += 1
+                    cost += item.cost
+                if cost < TICK_RUN_CAP:
+                    continue
+                item = _run_tick(first, ticks, cost)
+                first = None
+            elif type(item) is Invoke:
+                stack.append(item.gen)
+                to_send = None
+                continue
+            elif first is not None:
+                held = item
+                item = _run_tick(first, ticks, cost)
+                first = None
         try:
             to_send = yield item
         except GeneratorExit:
@@ -101,4 +142,7 @@ def trampoline(gen: EvalGen) -> EvalGen:
             # frame on the next loop turn, exactly like nested yield from.
             pending = exc
             to_send = None
+            held = None
+    if first is not None:
+        yield _run_tick(first, ticks, cost)
     return to_send

@@ -96,7 +96,9 @@ def stepper_override(name: str) -> Iterator[None]:
 #: The two evaluation strategies for the Lisp substrate.  "interpreter"
 #: is the generator-style reference evaluator; "compiled" is the
 #: closure-emitting compiler (repro.lisp.compile) driven through the CPS
-#: trampoline.  Both produce byte-identical effect streams.
+#: trampoline.  Their effect streams are identical once the trampoline's
+#: merged tick runs are split back into single ticks, and every machine
+#: run is identical in both.
 EVAL_MODES = ("interpreter", "compiled")
 
 _EVAL_MODE_OVERRIDE: "str | None" = None

@@ -164,8 +164,18 @@ class MachineStats:
     lock_acquisitions: int = 0
     lock_contentions: int = 0
     cpu_busy: list[int] = field(default_factory=list)
-    concurrency_samples: list[int] = field(default_factory=list)
+    #: How many processors were busy on each tick, run-length encoded:
+    #: ``(busy, ticks)`` pairs, adjacent pairs never with equal ``busy``.
+    concurrency_runs: list[tuple[int, int]] = field(default_factory=list)
     peak_live_processes: int = 0
+
+    def sample(self, busy: int, ticks: int = 1) -> None:
+        """Record ``ticks`` ticks on which ``busy`` processors were busy."""
+        runs = self.concurrency_runs
+        if runs and runs[-1][0] == busy:
+            runs[-1] = (busy, runs[-1][1] + ticks)
+        else:
+            runs.append((busy, ticks))
 
     @property
     def utilization(self) -> float:
@@ -179,7 +189,8 @@ class MachineStats:
         the paper's (|H|+|T|)/|H| concurrency."""
         if self.total_time == 0:
             return 0.0
-        return sum(self.concurrency_samples) / self.total_time
+        return sum(busy * ticks for busy, ticks in self.concurrency_runs) \
+            / self.total_time
 
 
 class Machine:
@@ -628,7 +639,7 @@ class Machine:
                 proc.busy_remaining -= 1
             if proc.busy_remaining == 0:
                 self._kick(cpu)
-        self.stats.concurrency_samples.append(busy_count)
+        self.stats.sample(busy_count)
         live = sum(1 for p in self.processes.values() if p.state != "done")
         self.stats.peak_live_processes = max(self.stats.peak_live_processes, live)
 
@@ -749,10 +760,7 @@ class Machine:
             self.time += quiet
             cpu.busy_time += quiet
             proc.busy_total += quiet
-            if quiet == 1:
-                self.stats.concurrency_samples.append(1)
-            else:
-                self.stats.concurrency_samples.extend([1] * quiet)
+            self.stats.sample(1, quiet)
         return cost - quiet
 
     def _advance(self, delta: int,
@@ -794,13 +802,9 @@ class Machine:
                 proc.busy_remaining -= delta
             if proc.busy_remaining == 0:
                 self._kick(cpu)
-        samples = self.stats.concurrency_samples
-        if delta == 1:
-            samples.append(busy_count)
-        else:
-            samples.extend([busy_count] * delta)
-            if live_before > self.stats.peak_live_processes:
-                self.stats.peak_live_processes = live_before
+        self.stats.sample(busy_count, delta)
+        if delta > 1 and live_before > self.stats.peak_live_processes:
+            self.stats.peak_live_processes = live_before
         if self._live > self.stats.peak_live_processes:
             self.stats.peak_live_processes = self._live
 

@@ -162,7 +162,7 @@ _PRETTY_WIDTH = 78
 def pretty_str(obj: Any, indent: int = 0, names: Names = None) -> str:
     """Render ``obj`` with indentation suitable for program text
     (``names`` as in :func:`write_str`)."""
-    return _pretty(obj, indent, names, {})
+    return _pretty(obj, indent, names, {}, set())
 
 
 def _flat(obj: Any, names: Names, texts: dict) -> str:
@@ -184,9 +184,28 @@ def _flat(obj: Any, names: Names, texts: dict) -> str:
     return text
 
 
-def _pretty(obj: Any, indent: int, names: Names, texts: dict) -> str:
+def _cdr_cycle(node: Any) -> bool:
+    """Whether the cdr chain from ``node`` revisits a cons."""
+    seen: set[int] = set()
+    while isinstance(node, Cons):
+        if id(node) in seen:
+            return True
+        seen.add(id(node))
+        node = node.cdr
+    return False
+
+
+def _pretty(obj: Any, indent: int, names: Names, texts: dict,
+            path: set[int]) -> str:
+    """``obj`` broken over lines at ``indent``; ``path`` holds the ids of
+    the lists being broken around it."""
     flat = _flat(obj, names, texts)
     if len(flat) + indent <= _PRETTY_WIDTH or not isinstance(obj, Cons):
+        return flat
+    if id(obj) not in texts and (id(obj) in path or _cdr_cycle(obj)):
+        # A guard fired writing obj (``texts`` keeps no such write), and
+        # it is a list inside itself or on a cdr cycle: print it flat,
+        # like write_str.
         return flat
 
     head = obj.car
@@ -198,6 +217,7 @@ def _pretty(obj: Any, indent: int, names: Names, texts: dict) -> str:
     if node is not None:
         return flat  # dotted lists never need pretty bodies
 
+    path.add(id(obj))
     if isinstance(head, Symbol) and head.name in _BODY_FORMS:
         keep = _BODY_FORMS[head.name] + 1
         head_parts = [_flat(x, names, texts) for x in items[:keep]]
@@ -206,19 +226,21 @@ def _pretty(obj: Any, indent: int, names: Names, texts: dict) -> str:
         lines = [head_line]
         for sub in items[keep:]:
             lines.append(" " * body_indent
-                         + _pretty(sub, body_indent, names, texts))
-        return "\n".join(lines) + ")"
-
-    # Generic call: align arguments under the first argument.
-    head_txt = _flat(items[0], names, texts) if items else ""
-    arg_indent = indent + len(head_txt) + 2
-    if items[1:]:
-        parts = [_pretty(items[1], arg_indent, names, texts)]
+                         + _pretty(sub, body_indent, names, texts, path))
+        text = "\n".join(lines) + ")"
+    elif items[1:]:
+        # Generic call: align arguments under the first argument.
+        head_txt = _flat(head, names, texts)
+        arg_indent = indent + len(head_txt) + 2
+        parts = [_pretty(items[1], arg_indent, names, texts, path)]
         for sub in items[2:]:
             parts.append(" " * arg_indent
-                         + _pretty(sub, arg_indent, names, texts))
-        return "(" + head_txt + " " + "\n".join(parts) + ")"
-    return "(" + head_txt + ")"
+                         + _pretty(sub, arg_indent, names, texts, path))
+        text = "(" + head_txt + " " + "\n".join(parts) + ")"
+    else:
+        text = "(" + _flat(head, names, texts) + ")"
+    path.discard(id(obj))
+    return text
 
 
 __all__ = ["write_str", "pretty_str"]

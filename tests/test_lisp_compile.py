@@ -4,7 +4,12 @@ The compiled evaluator (:mod:`repro.lisp.compile`) must be *stream
 equivalent* to the generator interpreter: same values, same effect
 sequence (ticks, memory traffic, outputs), same typed errors — so every
 driver (sequential runner, simulated machine, bench harness) can flip
-``eval_mode`` without observable change.  Three layers of evidence:
+``eval_mode`` without observable change.  The production trampoline
+merges each run of adjacent ticks into one, so the comparison has two
+steps: compiled frames driven through a non-merging trampoline (kept
+here as the oracle) match the interpreter effect for effect, and the
+production stream is that oracle stream with its tick runs merged.
+Three layers of evidence:
 
 1. Hypothesis differential tests over randomly generated programs,
    comparing full effect fingerprints and error identity.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lisp.compile import compiled_eval_gen
+from repro.lisp.compile import compiled_eval_gen, get_compiler
 from repro.lisp.effects import (
     Annotate,
     MemRead,
@@ -41,6 +46,7 @@ from repro.lisp.errors import (
 )
 from repro.lisp.interpreter import Interpreter
 from repro.lisp.runner import SequentialRunner
+from repro.lisp.trampoline import TICK_RUN_CAP, Invoke
 from repro.obs import Recorder, chrome_trace_dict
 from repro.obs.golden import diff_projections, structural_projection
 from repro.obs.workloads import run_trace_workload, trace_workloads
@@ -60,14 +66,82 @@ from repro.sexpr.printer import write_str
 # ---------------------------------------------------------------------------
 
 
+def _oracle_trampoline(gen):
+    """The trampoline as it was before tick merging: every effect a
+    frame yields reaches the driver as it is."""
+    stack = [gen]
+    to_send = None
+    pending = None
+    while stack:
+        top = stack[-1]
+        try:
+            if pending is not None:
+                exc, pending = pending, None
+                item = top.throw(exc)
+            else:
+                item = top.send(to_send)
+        except StopIteration as stop:
+            stack.pop()
+            to_send = stop.value
+            continue
+        except BaseException as exc:
+            stack.pop()
+            if not stack:
+                raise
+            pending = exc
+            to_send = None
+            continue
+        if type(item) is Invoke:
+            stack.append(item.gen)
+            to_send = None
+            continue
+        try:
+            to_send = yield item
+        except GeneratorExit:
+            while stack:
+                stack.pop().close()
+            raise
+        except BaseException as exc:
+            pending = exc
+            to_send = None
+    return to_send
+
+
+def _merge_ticks(events: list[tuple]) -> list[tuple]:
+    """A fingerprint with its tick runs merged the way the production
+    trampoline merges them: a run ends at the next other entry, or once
+    its cost reaches ``TICK_RUN_CAP``; a run of one tick is kept as it
+    is, a longer one becomes one ``"merged"`` tick of the summed cost."""
+    out: list[tuple] = []
+    run: list[tuple] = []
+    cost = 0
+    for event in events:
+        if event[0] == "tick":
+            run.append(event)
+            cost += event[1]
+            if cost < TICK_RUN_CAP:
+                continue
+        if run:
+            out.append(run[0] if len(run) == 1
+                       else ("tick", cost, "merged"))
+            run, cost = [], 0
+        if event[0] != "tick":
+            out.append(event)
+    assert not run, "a fingerprint ends with its ret or err entry"
+    return out
+
+
 def _fingerprint(interp: Interpreter, form, mode: str) -> list[tuple]:
     """Drive one form to completion, recording every effect.
 
-    Cell identities are canonicalized first-seen (fresh interpreters
-    allocate different cells), values are printed with ``write_str`` so
-    structurally equal data compares equal.  The terminal entry is
-    either ``("ret", value)`` or ``("err", type-name, message)`` — so a
-    fingerprint captures the *complete* observable behaviour.
+    ``mode`` is ``"interpreter"``, ``"compiled"`` (compiled frames
+    driven through :func:`_oracle_trampoline`) or ``"merged"`` (the
+    production ``compiled_eval_gen``).  Cell identities are
+    canonicalized first-seen (fresh interpreters allocate different
+    cells), values are printed with ``write_str`` so structurally equal
+    data compares equal.  The terminal entry is either ``("ret",
+    value)`` or ``("err", type-name, message)`` — so a fingerprint
+    captures the *complete* observable behaviour.
     """
     ids: dict[int, str] = {}
 
@@ -77,8 +151,11 @@ def _fingerprint(interp: Interpreter, form, mode: str) -> list[tuple]:
             ids[key] = f"#{len(ids)}"
         return ids[key]
 
-    if mode == "compiled":
+    if mode == "merged":
         gen = compiled_eval_gen(interp, form, interp.globals)
+    elif mode == "compiled":
+        gen = _oracle_trampoline(
+            get_compiler(interp).code_for(form)(interp.globals))
     else:
         gen = interp.eval_gen(form, interp.globals)
 
@@ -117,17 +194,21 @@ def _fingerprint(interp: Interpreter, form, mode: str) -> list[tuple]:
 
 
 def _differential(defs: str, exprs: list[str]) -> None:
-    """Assert both modes produce identical fingerprints for every expr.
+    """Assert the modes produce matching fingerprints for every expr.
 
     ``defs`` is loaded per-mode in a fresh interpreter (definitions are
     drained through a matching-mode runner first, so compiled functions
     compile their own prototypes); each expression in ``exprs`` is then
-    fingerprinted and compared event-for-event.
+    fingerprinted.  The compiled stream must equal the interpreter's
+    event for event, and the merged stream must equal it with its tick
+    runs merged.
     """
     streams: dict[str, list[list[tuple]]] = {}
-    for mode in ("interpreter", "compiled"):
+    for mode in ("interpreter", "compiled", "merged"):
         interp = Interpreter()
-        runner = SequentialRunner(interp, eval_mode=mode)
+        runner = SequentialRunner(
+            interp, eval_mode="interpreter" if mode == "interpreter"
+            else "compiled")
         if defs:
             runner.eval_text(defs)
         per_mode: list[list[tuple]] = []
@@ -136,10 +217,11 @@ def _differential(defs: str, exprs: list[str]) -> None:
             assert len(forms) == 1, text
             per_mode.append(_fingerprint(interp, forms[0], mode))
         streams[mode] = per_mode
-    for text, got, want in zip(
-        exprs, streams["compiled"], streams["interpreter"]
+    for text, got, want, merged in zip(
+        exprs, streams["compiled"], streams["interpreter"], streams["merged"]
     ):
         assert got == want, f"effect streams diverge on {text}"
+        assert merged == _merge_ticks(want), f"tick runs diverge on {text}"
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +350,7 @@ class TestErrorParity:
     )
     def test_same_error_both_modes(self, text, exc):
         seen = {}
-        for mode in ("interpreter", "compiled"):
+        for mode in ("interpreter", "compiled", "merged"):
             interp = Interpreter()
             (form,) = list(interp.load(text))
             events = _fingerprint(interp, form, mode)
@@ -276,6 +358,7 @@ class TestErrorParity:
             assert events[-1][1] == exc.__name__
             seen[mode] = events
         assert seen["compiled"] == seen["interpreter"]
+        assert seen["merged"] == _merge_ticks(seen["interpreter"])
 
     def test_error_inside_loop_after_effects(self):
         # Effects emitted *before* the failure must match too: errors
@@ -289,6 +372,63 @@ class TestErrorParity:
             (car n)))
         """
         _differential(defs, ["(blow-up 3)"])
+
+
+# ---------------------------------------------------------------------------
+# Tick merging: the production stream is the oracle's with runs merged
+# ---------------------------------------------------------------------------
+
+_ERRORS = ("(car 5)", "definitely-unbound", "(no-such-function 1 2)",
+           "(+ 1 \"two\")")
+
+
+def _with_error(text: str, error, where: int) -> str:
+    if error is None:
+        return text
+    return (f"(progn {error} {text})", f"(progn {text} {error})",
+            f"(if {text} {error} {text})")[where]
+
+
+class TestTickMerging:
+    """``_differential`` checks every program above this way too; these
+    add typed errors at random points and loops long enough for a run
+    to reach ``TICK_RUN_CAP``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_expr(), st.sampled_from(_ERRORS + (None,)), st.integers(0, 2))
+    def test_expressions_and_errors(self, text, error, where):
+        text = _with_error(text, error, where)
+        _differential("", [f"(let ((a 2) (b -3) (c 7)) {text})"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(_expr(depth=2), st.integers(0, 700),
+           st.sampled_from(_ERRORS + (None,)))
+    def test_long_loops_and_errors(self, body, n, error):
+        defs = f"""
+        (defun churn (a b)
+          (let ((c 0) (i 0))
+            (while (< i a)
+              (setq c (+ c {body}))
+              (setq i (1+ i)))
+            {error or "c"}))
+        """
+        _differential(defs, [f"(churn {n} 4)", f"(progn (churn {n} 1) a)"])
+
+    def test_a_long_run_is_cut_at_the_cap(self):
+        defs = """
+        (defun spin (n)
+          (let ((i 0)) (while (< i n) (setq i (1+ i))) (car i)))
+        """
+        _differential(defs, ["(spin 1000)"])
+        interp = Interpreter()
+        SequentialRunner(interp, eval_mode="compiled").eval_text(defs)
+        (form,) = interp.load("(spin 1000)")
+        merged = _fingerprint(interp, form, "merged")
+        ticks = [event[1] for event in merged if event[0] == "tick"]
+        assert len(ticks) > 3
+        assert all(cost >= TICK_RUN_CAP for cost in ticks[:-1])
+        assert ticks[-1] < TICK_RUN_CAP
+        assert merged[-1][:2] == ("err", "WrongType")
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +502,7 @@ def _run_workload(name: str, mode: str, with_recorder: bool):
             stats.lock_acquisitions,
             stats.lock_contentions,
             stats.cpu_busy,
-            stats.concurrency_samples,
+            stats.concurrency_runs,
             stats.peak_live_processes,
         ),
         "projection": (

@@ -90,7 +90,7 @@ def _run(name: str, stepper: str, with_recorder: bool):
             stats.lock_acquisitions,
             stats.lock_contentions,
             stats.cpu_busy,
-            stats.concurrency_samples,
+            stats.concurrency_runs,
             stats.peak_live_processes,
         ),
         "projection": (
@@ -245,9 +245,11 @@ def test_heap_calls_on_tick_only_where_a_draw_fires(plan_index):
     assert heap.calls < ticker.calls
 
 
-def _run_trace_workload(name, stepper, plan, seed, recorder):
-    """A trace workload under a fault plan on one stepper; the run may
-    abort with a MachineError, which is part of what is compared."""
+def _run_trace_workload(name, stepper, plan, seed, recorder,
+                        eval_mode=None):
+    """A trace workload under a fault plan on one stepper (and, if
+    given, one eval mode); the run may abort with a MachineError, which
+    is part of what is compared."""
     workload = trace_workloads()[name]
     interp = Interpreter()
     curare = Curare(interp, assume_sapp=True, recorder=recorder)
@@ -259,7 +261,7 @@ def _run_trace_workload(name, stepper, plan, seed, recorder):
         policy="random" if seed is not None else "fifo",
         rng=random.Random(seed) if seed is not None else None,
         faults=plan, recorder=recorder, stepper=stepper,
-        lock_wait_timeout=5_000, max_time=400_000,
+        eval_mode=eval_mode, lock_wait_timeout=5_000, max_time=400_000,
     )
     main = machine.spawn_text(
         workload.call.format(fn=workload.fname + "-cc"))

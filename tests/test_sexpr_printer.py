@@ -332,3 +332,79 @@ class TestPrettyDifferential:
         exact = lisp_list(*range(10_000))
         assert write_str(exact) == _oracle_write_str(exact)
         assert "..." not in write_str(exact)
+
+
+# --- pretty_str on cyclic lists ------------------------------------------
+#
+# Before the printer's cycle checks, a list wider than the page whose
+# cdr chain loops (or that holds itself, or whose cdr chain runs back
+# into an enclosing list) never came back from pretty_str.  Each case
+# prints in a child process with a timeout, so a reintroduced hang
+# fails fast instead of stalling the suite.
+
+_LONG = "a-fairly-long-symbol-name"
+_CYCLES_SCRIPT = f"""
+import json, sys
+from repro.sexpr.printer import pretty_str, write_str
+from repro.sexpr.reader import read
+
+cdr_cycle = read("({_LONG} another-long-symbol-name)")
+cdr_cycle.cdr.cdr = cdr_cycle
+
+car_cycle = read("({_LONG}-1 {_LONG}-2 ({_LONG}-3 {_LONG}-4 nil))")
+car_cycle.cdr.cdr.car.cdr.cdr.car = car_cycle
+
+defun = read("(defun f (x) ({_LONG} another-long-symbol-name yet-another))")
+body = defun.cdr.cdr.cdr.car
+body.cdr.cdr.cdr = defun
+
+json.dump({{name: [pretty_str(form), write_str(form), write_str(inner)]
+           for name, form, inner in (("cdr", cdr_cycle, cdr_cycle),
+                                     ("car", car_cycle, car_cycle),
+                                     ("defun", defun, body))}}, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def cyclic_prints():
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _CYCLES_SCRIPT],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout)
+
+
+class TestPrettyCycles:
+    def test_cdr_cycle_prints_flat(self, cyclic_prints):
+        pretty, flat, _ = cyclic_prints["cdr"]
+        assert pretty == flat
+        assert len(flat) == 255_005 and flat.endswith(" ...)")
+
+    def test_list_holding_itself_prints_it_flat(self, cyclic_prints):
+        pretty, _, inner = cyclic_prints["car"]
+        lines = pretty.split("\n")
+        assert lines[0] == f"({_LONG}-1 {_LONG}-2"
+        assert lines[1].strip() == f"({_LONG}-3 {_LONG}-4"
+        assert lines[2].strip() == inner + "))"
+        assert inner.endswith(f"{_LONG}-4 ...))")
+
+    def test_cdr_chain_back_into_an_enclosing_defun(self, cyclic_prints):
+        pretty, _, inner = cyclic_prints["defun"]
+        lines = pretty.split("\n")
+        assert lines[0] == "(defun f (x)"
+        assert lines[1] == f"  ({_LONG} another-long-symbol-name"
+        assert [line.strip() for line in lines[2:-1]] == [
+            "yet-another", "defun", "f", "(x)"]
+        assert lines[-1].strip() == inner + "))"
+        assert inner == (f"({_LONG} another-long-symbol-name yet-another "
+                         "defun f (x) ...)")

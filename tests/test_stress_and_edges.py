@@ -139,4 +139,4 @@ class TestMachineLimits:
         machine.spawn_text("(w d)")
         stats = machine.run()
         assert stats.mean_concurrency <= 3.0 + 1e-9
-        assert max(stats.concurrency_samples) <= 3
+        assert max(busy for busy, _ in stats.concurrency_runs) <= 3
