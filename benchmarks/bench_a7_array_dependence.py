@@ -56,7 +56,9 @@ def measure():
     interp = Interpreter()
     curare = Curare(interp, assume_sapp=True)
     curare.load_program(source_for(2, 1))
-    curare.transform("f")
+    # End-of-invocation release: the regime where min(dᵢ) bounds the
+    # concurrency (A2); last-use release overlaps more (A8).
+    curare.transform("f", early_release=False)
     curare.runner.eval_text(f"(setq v (make-array {N + 3} 0))")
     machine = Machine(interp, processors=PROCESSORS, cost_model=FREE_SYNC)
     machine.spawn_text(f"(f-cc v 0 {N})")

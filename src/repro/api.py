@@ -252,7 +252,10 @@ class TransformOptions:
 
     mode: str = "spawn"  # "spawn" | "enqueue"
     suffix: str = "-cc"
-    early_release: bool = False
+    #: Release each lock right after its last use on each path (the
+    #: protocol); False holds every lock to the end of the invocation,
+    #: kept as bench A8's comparison arm.
+    early_release: bool = True
     use_delay: bool = False
     prefer_dps: bool = True
     whole_program: bool = False

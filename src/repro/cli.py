@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["spawn", "enqueue"], default="spawn"
     )
     p_transform.add_argument("--suffix", default="-cc")
-    p_transform.add_argument("--early-release", action="store_true")
     p_transform.add_argument("--use-delay", action="store_true")
     p_transform.add_argument(
         "--no-dps", action="store_true",
@@ -463,7 +462,6 @@ def cmd_transform(args: argparse.Namespace) -> int:
     options = api.TransformOptions(
         mode=args.mode,
         suffix=args.suffix,
-        early_release=args.early_release,
         use_delay=args.use_delay,
         prefer_dps=not args.no_dps,
         whole_program=args.whole_program,

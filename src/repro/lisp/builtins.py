@@ -475,17 +475,6 @@ def _gb_unlock_loc(interp: Any, obj: Any, field: Any):
     return None
 
 
-def _gb_unlock_loc_if_held(interp: Any, obj: Any, field: Any):
-    """Early-release safety net: release only if held (§3.2.1)."""
-    yield LockRelease(location_key(obj, _field_name(field)), if_held=True)
-    return None
-
-
-def _gb_read_unlock_loc_if_held(interp: Any, obj: Any, field: Any):
-    yield LockRelease(location_key(obj, _field_name(field)), shared=True, if_held=True)
-    return None
-
-
 def _gb_read_lock_loc(interp: Any, obj: Any, field: Any):
     """Shared (reader) side of the read-write location lock (§3.2.1)."""
     yield LockAcquire(location_key(obj, _field_name(field)), shared=True)
@@ -704,8 +693,6 @@ def builtin_table(symbols: SymbolTable) -> dict[Symbol, Builtin]:
         # Synchronization vocabulary.
         B("lock-loc!", _gb_lock_loc, is_generator=True, cost=2),
         B("unlock-loc!", _gb_unlock_loc, is_generator=True, cost=1),
-        B("unlock-loc-if-held!", _gb_unlock_loc_if_held, is_generator=True, cost=1),
-        B("read-unlock-loc-if-held!", _gb_read_unlock_loc_if_held, is_generator=True, cost=1),
         B("read-lock-loc!", _gb_read_lock_loc, is_generator=True, cost=2),
         B("read-unlock-loc!", _gb_read_unlock_loc, is_generator=True, cost=1),
         B("lock-cell!", _gb_lock_cell, is_generator=True, cost=2),

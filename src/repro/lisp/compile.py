@@ -79,7 +79,7 @@ from repro.lisp.interpreter import (
     _strip_declares,
     cxr_ops,
 )
-from repro.lisp.trampoline import Invoke, trampoline
+from repro.lisp.trampoline import TICK_RUN_CAP, Invoke, TickRun, trampoline
 from repro.lisp.values import Builtin, Closure, Future
 from repro.perf.cache import EventCounter
 from repro.sexpr.datum import Cons, Symbol, lisp_list, list_to_pylist
@@ -133,6 +133,18 @@ _T_OR = Tick(1, "or")
 _T_FUNCTION = Tick(1, "function")
 _T_FUTURE = Tick(1, "future")
 _T_SPAWN = Tick(1, "spawn")
+
+
+def _inline_ticks(kind: int, payload: Any) -> int:
+    """The most unit ticks a ``while`` test or statement plan folds."""
+    if kind == 1:
+        return 1
+    if kind == 3:
+        return 1 + sum(1 for k, _ in payload[2] if k != 0)
+    if kind == 4:
+        return 1 + _inline_ticks(payload[1], payload[2])
+    return 0
+
 
 
 def get_compiler(interp: Interpreter) -> "Compiler":
@@ -1094,103 +1106,176 @@ class Compiler:
         return setf_accessor_code
 
     def _compile_while(self, form: Cons) -> Code:
+        """``while`` folds its inline unit ticks: it counts them in a
+        local and yields one :class:`TickRun` per run instead of one
+        trampoline crossing per tick.  A run goes out before any
+        ``Invoke``, visible effect, fallback call or other-cost tick,
+        at loop exit, before an error leaves the loop, and before it
+        could pass :data:`TICK_RUN_CAP`; the effect stream after the
+        trampoline's merging is the unfolded one's."""
         args = _args(form)
         if not args:
             raise EvalError("while needs a test", form)
         tk, tp = self._plan_inline(args[0])
         body_plans = tuple(self._plan_stmt(f) for f in args[1:])
+        # One iteration folds at most ``per_iter`` ticks; flushing at the
+        # top once the count passes ``limit`` keeps every run within the
+        # cap.  A body that could fold more runs out of line instead.
+        per_iter = 1 + sum(_inline_ticks(k, p) for k, p in ((tk, tp), *body_plans))
+        if per_iter > TICK_RUN_CAP:
+            tk, tp = 2, self.code_for(args[0])
+            body_plans = tuple((2, self.code_for(f)) for f in args[1:])
+            per_iter = 1
+        limit = TICK_RUN_CAP - per_iter
         macros = self.interp.macros
         functions = self.interp.functions
 
         def while_code(env: Environment) -> EvalGen:
-            while True:
-                yield _T_WHILE
-                if tk == 0:
-                    test = tp
-                elif tk == 1:
-                    yield _T_VAR
-                    test = env.lookup(tp)
-                elif tk == 3:
-                    head, fallback, subplans, memo = tp
-                    fn = functions.get(head)
-                    if fn.__class__ is Builtin and not fn.is_generator \
-                            and macros.get(head) is None:
-                        cargs: List[Any] = []
-                        for k2, p2 in subplans:
-                            if k2 == 0:
-                                cargs.append(p2)
-                            else:
-                                yield _T_VAR
-                                cargs.append(env.lookup(p2))
-                        if memo[0] is not fn:
-                            memo[0] = fn
-                            memo[1] = Tick(fn.cost, fn.name)
-                        yield memo[1]
-                        test = fn.fn(*cargs)
-                    else:
-                        test = yield from fallback(env)
-                else:
-                    test = yield from tp(env)
-                if test is None or test is False:
-                    return None
-                for kind, payload in body_plans:
-                    if kind == 2:
-                        # Flat-chain the statement (see let_star_code).
-                        yield Invoke(payload(env))
-                    elif kind == 0:
-                        pass
-                    elif kind == 1:
-                        yield _T_VAR
-                        env.lookup(payload)
-                    elif kind == 4:
-                        name, vk, vp = payload
-                        yield _T_SETQ
-                        if vk == 0:
-                            value = vp
-                        elif vk == 1:
-                            yield _T_VAR
-                            value = env.lookup(vp)
-                        elif vk == 3:
-                            head, fallback, subplans, memo = vp
-                            fn = functions.get(head)
-                            if fn.__class__ is Builtin and not fn.is_generator \
-                                    and macros.get(head) is None:
-                                cargs3: List[Any] = []
-                                for k2, p2 in subplans:
-                                    if k2 == 0:
-                                        cargs3.append(p2)
-                                    else:
-                                        yield _T_VAR
-                                        cargs3.append(env.lookup(p2))
-                                if memo[0] is not fn:
-                                    memo[0] = fn
-                                    memo[1] = Tick(fn.cost, fn.name)
-                                yield memo[1]
-                                value = fn.fn(*cargs3)
-                            else:
-                                value = yield from fallback(env)
-                        else:
-                            value = yield Invoke(vp(env))
-                        env.assign(name, value)
-                    else:
-                        head, fallback, subplans, memo = payload
+            n = 0  # folded unit ticks not yet yielded; ``last`` ends them
+            last: Any = None
+            try:
+                while True:
+                    if n > limit:
+                        yield TickRun(n, last)
+                        n = 0
+                    n += 1
+                    last = _T_WHILE
+                    if tk == 0:
+                        test = tp
+                    elif tk == 1:
+                        n += 1
+                        last = _T_VAR
+                        test = env.lookup(tp)
+                    elif tk == 3:
+                        head, fallback, subplans, memo = tp
                         fn = functions.get(head)
                         if fn.__class__ is Builtin and not fn.is_generator \
                                 and macros.get(head) is None:
-                            cargs2: List[Any] = []
+                            cargs: List[Any] = []
                             for k2, p2 in subplans:
                                 if k2 == 0:
-                                    cargs2.append(p2)
+                                    cargs.append(p2)
                                 else:
-                                    yield _T_VAR
-                                    cargs2.append(env.lookup(p2))
+                                    n += 1
+                                    last = _T_VAR
+                                    cargs.append(env.lookup(p2))
                             if memo[0] is not fn:
                                 memo[0] = fn
                                 memo[1] = Tick(fn.cost, fn.name)
-                            yield memo[1]
-                            fn.fn(*cargs2)
+                            if fn.cost == 1:
+                                n += 1
+                                last = memo[1]
+                            else:  # the while tick keeps n above 0 here
+                                yield TickRun(n, last)
+                                n = 0
+                                yield memo[1]
+                            test = fn.fn(*cargs)
                         else:
-                            yield from fallback(env)
+                            yield TickRun(n, last)
+                            n = 0
+                            test = yield from fallback(env)
+                    else:
+                        yield TickRun(n, last)
+                        n = 0
+                        test = yield from tp(env)
+                    if test is None or test is False:
+                        if n:
+                            yield TickRun(n, last)
+                        return None
+                    for kind, payload in body_plans:
+                        if kind == 2:
+                            # Flat-chain the statement (see let_star_code).
+                            if n:
+                                yield TickRun(n, last)
+                                n = 0
+                            yield Invoke(payload(env))
+                        elif kind == 0:
+                            pass
+                        elif kind == 1:
+                            n += 1
+                            last = _T_VAR
+                            env.lookup(payload)
+                        elif kind == 4:
+                            name, vk, vp = payload
+                            n += 1
+                            last = _T_SETQ
+                            if vk == 0:
+                                value = vp
+                            elif vk == 1:
+                                n += 1
+                                last = _T_VAR
+                                value = env.lookup(vp)
+                            elif vk == 3:
+                                head, fallback, subplans, memo = vp
+                                fn = functions.get(head)
+                                if fn.__class__ is Builtin and not fn.is_generator \
+                                        and macros.get(head) is None:
+                                    cargs3: List[Any] = []
+                                    for k2, p2 in subplans:
+                                        if k2 == 0:
+                                            cargs3.append(p2)
+                                        else:
+                                            n += 1
+                                            last = _T_VAR
+                                            cargs3.append(env.lookup(p2))
+                                    if memo[0] is not fn:
+                                        memo[0] = fn
+                                        memo[1] = Tick(fn.cost, fn.name)
+                                    if fn.cost == 1:
+                                        n += 1
+                                        last = memo[1]
+                                    else:
+                                        if n:
+                                            yield TickRun(n, last)
+                                            n = 0
+                                        yield memo[1]
+                                    value = fn.fn(*cargs3)
+                                else:
+                                    if n:
+                                        yield TickRun(n, last)
+                                        n = 0
+                                    value = yield from fallback(env)
+                            else:
+                                if n:
+                                    yield TickRun(n, last)
+                                    n = 0
+                                value = yield Invoke(vp(env))
+                            env.assign(name, value)
+                        else:
+                            head, fallback, subplans, memo = payload
+                            fn = functions.get(head)
+                            if fn.__class__ is Builtin and not fn.is_generator \
+                                    and macros.get(head) is None:
+                                cargs2: List[Any] = []
+                                for k2, p2 in subplans:
+                                    if k2 == 0:
+                                        cargs2.append(p2)
+                                    else:
+                                        n += 1
+                                        last = _T_VAR
+                                        cargs2.append(env.lookup(p2))
+                                if memo[0] is not fn:
+                                    memo[0] = fn
+                                    memo[1] = Tick(fn.cost, fn.name)
+                                if fn.cost == 1:
+                                    n += 1
+                                    last = memo[1]
+                                else:
+                                    if n:
+                                        yield TickRun(n, last)
+                                        n = 0
+                                    yield memo[1]
+                                fn.fn(*cargs2)
+                            else:
+                                if n:
+                                    yield TickRun(n, last)
+                                    n = 0
+                                yield from fallback(env)
+            except Exception:
+                # The ticks before the error were spent: charge them.
+                if n:
+                    yield TickRun(n, last)
+                raise
 
         return while_code
 

@@ -86,10 +86,6 @@ class LockAcquire(Effect):
 class LockRelease(Effect):
     key: Any
     shared: bool = False
-    #: Release only if this process holds the lock (no error otherwise).
-    #: Used by early-release locking (§3.2.1's "as soon as they finish
-    #: with a location"): a branch may have released already.
-    if_held: bool = False
 
 
 @dataclass

@@ -25,6 +25,11 @@ a lone tick passes through as it is.  Machine runs are the
 interpreter's to the tick, but effect streams match only after the
 interpreter's ticks are merged the same way.
 
+A compiled ``while`` goes further and folds its own unit ticks: it
+counts them in a local and yields one :class:`TickRun` per run, which
+the trampoline adds to its run (splitting it at the cap) exactly as if
+the ticks had come one by one.
+
 Nesting is safe: a trampoline inside a trampoline consumes its own
 ``Invoke`` frames and re-yields only real effects, so spawn thunks that
 build their own trampolined generators compose without coordination.
@@ -42,7 +47,7 @@ EvalGen = Generator[Any, Any, Any]
 #: A run of ticks is flushed to the driver once its cost reaches this.
 TICK_RUN_CAP = 1024
 
-__all__ = ["Invoke", "trampoline", "EvalGen", "TICK_RUN_CAP"]
+__all__ = ["Invoke", "TickRun", "trampoline", "EvalGen", "TICK_RUN_CAP"]
 
 
 class Invoke(Effect):
@@ -61,6 +66,23 @@ class Invoke(Effect):
 
     def __repr__(self) -> str:
         return "<invoke>"
+
+
+class TickRun(Effect):
+    """Internal control item: ``count`` unit ticks, the last of them
+    ``last``, folded by a compiled loop that counted them in a local
+    (:meth:`repro.lisp.compile.Compiler._compile_while`; ``count`` is
+    at most :data:`TICK_RUN_CAP`).  The trampoline adds them to its run
+    as if they had come one by one; it never reaches a driver."""
+
+    __slots__ = ("count", "last")
+
+    def __init__(self, count: int, last: Tick) -> None:
+        self.count = count
+        self.last = last
+
+    def __repr__(self) -> str:
+        return f"<{self.count} ticks>"
 
 
 def _run_tick(first: Tick, ticks: int, cost: int) -> Tick:
@@ -122,6 +144,23 @@ def trampoline(gen: EvalGen) -> EvalGen:
                     continue
                 item = _run_tick(first, ticks, cost)
                 first = None
+            elif type(item) is TickRun:
+                to_send = None
+                last = item.last
+                if first is None:
+                    first, ticks, cost = last, item.count, item.count
+                else:
+                    ticks += item.count
+                    cost += item.count
+                if cost < TICK_RUN_CAP:
+                    continue
+                # The cap falls inside the folded run: the capped part
+                # goes out, the rest (fewer than the cap) starts the
+                # next run, as if the ticks had come one by one.
+                rest = cost - TICK_RUN_CAP
+                item = _run_tick(first, ticks - rest, TICK_RUN_CAP)
+                first = last if rest else None
+                ticks = cost = rest
             elif type(item) is Invoke:
                 stack.append(item.gen)
                 to_send = None

@@ -1014,10 +1014,6 @@ class Machine:
             proc.pending_reply = None
             return 0, True, None
         if isinstance(effect, LockRelease):
-            if effect.if_held and not self.locks.holds(
-                proc.proc_id, effect.key, effect.shared
-            ):
-                return 0, False, None
             if self.race_detector is not None:
                 self.race_detector.on_release(proc.proc_id, effect.key)
             granted = self.locks.release(proc.proc_id, effect.key, effect.shared)

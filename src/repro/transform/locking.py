@@ -8,7 +8,10 @@ afterwards.  The §3.2.1 protocol:
   runs before any part of I_{i+d}, so FIFO lock grants reproduce the
   sequential access order even when more than two invocations conflict;
 * ``Unlock(M)`` runs after the invocation's last use of M and after all
-  lock statements (two-phase, deadlock-free);
+  lock statements (two-phase, deadlock-free): one release on each
+  path, right after that path's last use, for every lock kind
+  (:func:`place_release`) — the remark that holding locks to the end
+  of the invocation "is slightly pessimistic";
 * nested conflict-location chains coalesce to the shortest word (one
   lock covers ``l.car``, ``l.car.cdr``, ...);
 * a location only read by this invocation takes the read side of a
@@ -23,12 +26,14 @@ locks on structure they don't have.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.analysis.conflicts import Conflict, FunctionAnalysis, MemoryRef
+from repro.analysis.conflicts import FunctionAnalysis, MemoryRef
 from repro.ir import nodes as N
+from repro.ir.visitors import free_variables
 from repro.paths.accessor import Accessor
 from repro.sexpr.datum import DEFAULT_SYMBOLS, Symbol, intern
+from repro.transform.cri import _has_opaque_call
 
 
 @dataclass
@@ -77,24 +82,28 @@ class WholeArrayLockSpec:
 
 @dataclass
 class SerializeLockSpec:
-    """The universal fallback: a per-function token lock held for the
-    entire invocation, serializing the recursion when some conflict
-    cannot be named by any finer lock.  §6's guarantee made literal:
-    never incorrect, only slow."""
+    """The universal fallback: a per-function token lock held up to the
+    invocation's last statement that may touch shared state,
+    serializing that part of the recursion when some conflict cannot be
+    named by any finer lock.  §6's guarantee made literal: never
+    incorrect, only slow."""
 
     function: Symbol
+    #: What forced it: the analysis's unknowns, then unresolved conflicts.
+    reasons: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
-        return f"serialization lock (invocations of {self.function} run one at a time)"
+        return (f"serialization lock (invocations of {self.function} touch "
+                f"shared state one at a time)")
 
 
 @dataclass
 class VarLockSpec:
-    """A free-variable lock: acquired in the head, released at the end,
-    ordering every invocation's accesses to the shared binding in
-    invocation order (locking "is always able to order accesses",
-    §3.2.1).  Used when no reorderable declaration dismisses the
-    conflict."""
+    """A free-variable lock: acquired in the head, released after the
+    last use of the variable, ordering every invocation's accesses to
+    the shared binding in invocation order (locking "is always able to
+    order accesses", §3.2.1).  Used when no reorderable declaration
+    dismisses the conflict."""
 
     name: Symbol
     write: bool
@@ -113,9 +122,16 @@ class LockingResult:
     whole_array_locks: list[WholeArrayLockSpec] = field(default_factory=list)
     serialize_lock: Optional[SerializeLockSpec] = None
     unresolved: list[str] = field(default_factory=list)
+    #: min(d_i) over the active conflicts: the most invocations the
+    #: locks let run at once when every lock is held to the end of the
+    #: invocation.  Last-use release can exceed it.
     concurrency_bound: Optional[int] = None
-    #: Early (last-use) releases inserted when early_release was requested.
+    #: Releases placed after a last use (0 when every lock is held to
+    #: the end of the invocation).
     early_releases: int = 0
+    #: The serialize lock is held to the end of every path: the emitted
+    #: code runs one invocation at a time.
+    serialized: bool = False
 
     @property
     def lock_count(self) -> int:
@@ -274,82 +290,188 @@ def _lock_stmt(spec: LockSpec, base_var: Symbol, lock: bool) -> N.Node:
     return N.If(N.Call(intern("heap-object-p"), [N.Var(base_var)]), call, None)
 
 
-def _early_unlock_stmt(spec: LockSpec, base_var: Symbol) -> N.Node:
-    """If-held release right after the last use (§3.2.1 early release)."""
-    fld = spec.word.fields[-1]
-    op = "unlock-loc-if-held!" if spec.write else "read-unlock-loc-if-held!"
-    call = N.Call(intern(op), [N.Var(base_var), N.Quote(intern(fld))])
-    return N.If(N.Call(intern("heap-object-p"), [N.Var(base_var)]), call, None)
+#: This pass's own lock vocabulary: the placement never counts a lock
+#: or release statement as a use of another lock.
+_LOCK_OPS = frozenset({
+    "lock-loc!", "unlock-loc!", "read-lock-loc!", "read-unlock-loc!",
+    "lock-aref!", "unlock-aref!", "read-lock-aref!", "read-unlock-aref!",
+    "lock-cell!", "unlock-cell!", "lock-var!", "unlock-var!",
+})
+
+#: Builtins that reach a binding or a function named at run time.
+_ESCAPES = frozenset({"set", "symbol-value", "eval", "funcall", "apply"})
+
+Uses = Callable[[N.Node, frozenset], bool]
 
 
-def _insert_early_releases(
-    func: N.FuncDef,
-    analysis: FunctionAnalysis,
-    specs: list[LockSpec],
-    base_vars: list[Symbol],
-) -> int:
-    """Insert if-held unlocks after the last use of each locked word in
-    every statement sequence.  The end-of-body releases remain (as
-    if-held) for paths with no use.  Returns the insertions made."""
-    # Map each spec to the source ids of the refs it covers.
-    spec_sources: list[set[int]] = []
-    for spec in specs:
-        words = {spec.word} | set(spec.covers)
-        sources = {
-            id(ref.node.source)
-            for ref in analysis.heap_refs
-            if ref.accessor is not None and ref.param is spec.param
-            and any(w == ref.accessor or w.is_prefix_of(ref.accessor)
-                    for w in words)
-        }
-        spec_sources.append(sources)
+def _shared_use(analysis: FunctionAnalysis) -> Uses:
+    """The serialize lock's use test: may the statement touch state
+    another invocation can see?  A heap access, a spawn or future, a
+    builtin with effects (memory, output, queues, ``set``/``eval``...),
+    a non-local variable, or a call not known to be pure."""
+    from repro.lisp.values import Builtin
 
-    inserted = 0
+    functions = analysis._interp_functions or {}
 
-    def contains_use(node: N.Node, sources: set[int]) -> bool:
-        return any(id(sub.source) in sources for sub in node.walk())
+    def uses(stmt: N.Node, bound: frozenset) -> bool:
+        for sub in stmt.walk():
+            if isinstance(sub, (N.FieldAccess, N.Spawn, N.FutureExpr)):
+                return True
+            if isinstance(sub, N.Setf) and isinstance(sub.place, N.FieldPlace):
+                return True
+            if isinstance(sub, N.Call) and sub.fn.name not in _LOCK_OPS:
+                fn = functions.get(sub.fn)
+                if isinstance(fn, Builtin) and fn.is_generator:
+                    return True
+        return bool(free_variables(stmt, bound)) or _has_opaque_call(
+            stmt, analysis
+        )
 
-    def process_sequence(body: list[N.Node]) -> list[N.Node]:
-        nonlocal inserted
-        out = list(body)
-        for spec, base_var, sources in zip(specs, base_vars, spec_sources):
-            last = None
-            for idx, stmt in enumerate(out):
-                if contains_use(stmt, sources):
-                    last = idx
-            if last is None:
-                continue
-            stmt = out[last]
-            # Only release after a statement that cannot branch around
-            # the use (If subtrees may use the word in one arm only —
-            # then releasing after the If is still correct: the arm that
-            # ran either used it or not, and if-held handles both).
-            out.insert(last + 1, _early_unlock_stmt(spec, base_var))
-            inserted += 1
-        return out
+    return uses
 
-    def walk(node: N.Node) -> None:
-        # While bodies re-execute: releasing inside the loop would drop
-        # the lock before later iterations' uses.  Lambda bodies run
-        # elsewhere.  Both are skipped; a use inside them is covered by
-        # the release inserted after the While/Lambda statement itself.
-        if isinstance(node, (N.Progn, N.Let)):
-            node.body = process_sequence(node.body)
-        if isinstance(node, (N.While, N.Lambda)):
-            return
-        for child in node.children():
-            walk(child)
 
-    func.body = process_sequence(func.body)
-    for top in func.body:
-        walk(top)
-    return inserted
+def _var_use(spec: VarLockSpec, analysis: FunctionAnalysis) -> Uses:
+    """The variable itself, or anything that may reach a global binding
+    it does not name: an escape or a call not known to be pure."""
+
+    def uses(stmt: N.Node, bound: frozenset) -> bool:
+        return (
+            spec.name in free_variables(stmt, bound)
+            or any(isinstance(sub, N.Call) and sub.fn.name in _ESCAPES
+                   for sub in stmt.walk())
+            or _has_opaque_call(stmt, analysis)
+        )
+
+    return uses
+
+
+def _array_use(arrays: set[Symbol]) -> Uses:
+    """Any mention of a locked array: element indices and aliasing
+    between array parameters are not resolved here."""
+
+    def uses(stmt: N.Node, bound: frozenset) -> bool:
+        return any(
+            isinstance(sub, N.Var) and sub.name in arrays for sub in stmt.walk()
+        )
+
+    return uses
+
+
+def _location_use(spec: LockSpec, analysis: FunctionAnalysis) -> Uses:
+    """The statements holding a reference that may touch a location
+    ``spec`` covers: a word under one of its words, an unbounded
+    reference (a list-walking builtin, a user call) above one, or any
+    reference through a parameter that may alias ``spec.param``."""
+    words = [spec.word, *spec.covers]
+    aliases = {
+        ref.param
+        for c in analysis.active_conflicts() if c.kind == "alias"
+        and spec.param in (c.earlier.param, c.later.param)
+        for ref in (c.earlier, c.later)
+    } - {spec.param}
+    sources = {
+        id(ref.node.source)
+        for ref in analysis.heap_refs
+        if ref.accessor is not None and (
+            ref.param in aliases
+            or ref.param is spec.param and any(
+                w.is_prefix_of(ref.accessor)
+                or ref.unbounded and ref.accessor.is_prefix_of(w)
+                for w in words
+            )
+        )
+    }
+
+    def uses(stmt: N.Node, bound: frozenset) -> bool:
+        return any(id(sub.source) in sources for sub in stmt.walk())
+
+    return uses
+
+
+def _trivial(stmt: N.Node) -> bool:
+    return isinstance(stmt, (N.Const, N.Quote, N.Var))
+
+
+def place_release(
+    body: list[N.Node],
+    uses: Uses,
+    release: Callable[[], N.Node],
+    bound: frozenset,
+    released: set[int],
+) -> tuple[list[N.Node], int, bool]:
+    """Put one ``release()`` on each path through ``body``, right after
+    that path's last use (on entry to a path with none).
+
+    The lock is held on entry.  An ``if`` holding the last use gets a
+    release in each arm (a missing arm becomes one); a ``progn`` or
+    ``let`` is entered; anything else, a ``while`` or a ``lambda``
+    included, is released after as a whole, so no release runs twice.
+    A release after the statement that gives the function its value
+    keeps the value: ``(let ((#:v <stmt>)) <release> #:v)``; elsewhere
+    the value is discarded, so the release just follows.
+
+    ``uses(stmt, bound)`` tests one statement; ``bound`` holds the
+    names local at that point.  ``released`` holds the ids of the
+    release statements placed so far, which are never uses; this call
+    adds its own.  Returns the new body, the number of releases placed,
+    and whether every one of them ends its path (only the value and
+    other releases run after it: the lock is never given up early).
+    """
+    finals: list[bool] = []
+
+    def make() -> N.Node:
+        node = release()
+        released.add(id(node))
+        return node
+
+    def idle(stmts: list[N.Node]) -> bool:
+        return all(_trivial(s) or id(s) in released for s in stmts)
+
+    def place(seq: list[N.Node], bound: frozenset, tail: bool) -> list[N.Node]:
+        # ``tail``: ``seq`` ends its path and gives the function its value.
+        last = None
+        for idx, stmt in enumerate(seq):
+            if id(stmt) not in released and uses(stmt, bound):
+                last = idx
+        if last is None:
+            finals.append(tail and idle(seq))
+            return [make(), *(seq or [N.Const(None)])]
+        stmt = seq[last]
+        value_of_f = tail and last == len(seq) - 1
+        if isinstance(stmt, N.If):
+            stmt.then = arm(stmt.then, bound, value_of_f)
+            stmt.els = arm(stmt.els, bound, value_of_f)
+        elif isinstance(stmt, N.Progn):
+            stmt.body = place(list(stmt.body), bound, value_of_f)
+        elif isinstance(stmt, N.Let):
+            stmt.body = place(
+                list(stmt.body), bound | stmt.bound_names(), value_of_f
+            )
+        elif value_of_f:
+            value = DEFAULT_SYMBOLS.gensym("lockvalue")
+            seq[last] = N.Let([(value, stmt)], [make(), N.Var(value)])
+            finals.append(True)
+        else:
+            seq.insert(last + 1, make())
+            finals.append(tail and idle(seq[last + 2:]))
+        return seq
+
+    def arm(node: Optional[N.Node], bound: frozenset, tail: bool) -> N.Node:
+        if node is None:
+            seq: list[N.Node] = []
+        else:
+            seq = list(node.body) if isinstance(node, N.Progn) else [node]
+        seq = place(seq, bound, tail)
+        return seq[0] if len(seq) == 1 else N.Progn(seq)
+
+    placed = place(list(body), bound, True)
+    return placed, len(finals), all(finals)
 
 
 def insert_locks(
     analysis: FunctionAnalysis,
     func: Optional[N.FuncDef] = None,
-    early_release: bool = False,
+    early_release: bool = True,
 ) -> LockingResult:
     """Wrap ``func`` (default: a copy of the analyzed function) with the
     planned locks.
@@ -360,10 +482,16 @@ def insert_locks(
           (let* ((#:lb0 <base path 0>) ...)              ; bind bases once
             (if (heap-object-p #:lb0) (lock-loc! #:lb0 'f0))   ; lock phase
             ...
-            (let ((#:result (progn <original body>)))
-              (if (heap-object-p #:lb0) (unlock-loc! #:lb0 'f0)) ; release
-              ...
-              #:result)))
+            <original body, each lock released once on every path,
+             right after that path's last use of it>))
+
+    Every lock kind (location, array, variable, serialize) goes through
+    :func:`place_release`.  A lock with a use inside a ``lambda`` is
+    held to the end of the invocation, since the closure may be called
+    after the statement that makes it.  ``early_release=False`` treats
+    every statement as a use, so each lock is held to the end of the
+    invocation: the end-of-invocation protocol bench A8 compares
+    against.
 
     Base paths are evaluated *once*, in the head, so a body that mutates
     an intermediate link cannot desynchronize lock and unlock.
@@ -381,7 +509,9 @@ def insert_locks(
     # Anything still unresolved (unbounded refs, unknown callees, ...)
     # falls back to full serialization — §6: never incorrect, only slow.
     if unresolved or analysis.unknowns:
-        result.serialize_lock = SerializeLockSpec(analysis.func.name)
+        result.serialize_lock = SerializeLockSpec(
+            analysis.func.name, [*analysis.unknowns, *unresolved]
+        )
     distances = [
         c.distance for c in analysis.active_conflicts() if c.distance is not None
     ]
@@ -403,61 +533,78 @@ def insert_locks(
         bindings.append((var, _index_expr(aspec)))
         idx_vars.append(var)
 
-    if early_release and specs:
-        result.early_releases = _insert_early_releases(
-            func, analysis, specs, base_vars
-        )
-
-    lock_stmts = [
-        _lock_stmt(s, v, lock=True) for s, v in zip(specs, base_vars)
+    # (lock statement, release maker, use test), in acquisition order.
+    arrays = {s.array for s in array_specs} | {s.array for s in whole_specs}
+    phases: list[tuple[N.Node, Callable[[], N.Node], Uses]] = [
+        (_lock_stmt(s, v, lock=True),
+         lambda s=s, v=v: _lock_stmt(s, v, lock=False),
+         _location_use(s, analysis))
+        for s, v in zip(specs, base_vars)
     ] + [
-        _array_lock_stmt(s, v, lock=True) for s, v in zip(array_specs, idx_vars)
+        (_array_lock_stmt(s, v, lock=True),
+         lambda s=s, v=v: _array_lock_stmt(s, v, lock=False),
+         _array_use(arrays))
+        for s, v in zip(array_specs, idx_vars)
     ] + [
-        _whole_array_lock_stmt(s, lock=True) for s in whole_specs
+        (_whole_array_lock_stmt(s, lock=True),
+         lambda s=s: _whole_array_lock_stmt(s, lock=False),
+         _array_use(arrays))
+        for s in whole_specs
     ] + [
-        _var_lock_stmt(s, lock=True) for s in var_specs
-    ] + (
-        [_serialize_lock_stmt(result.serialize_lock, lock=True)]
-        if result.serialize_lock else []
-    )
-    var_unlocks = (
-        [_serialize_lock_stmt(result.serialize_lock, lock=False)]
-        if result.serialize_lock else []
-    ) + [_var_lock_stmt(s, lock=False) for s in reversed(var_specs)] + [
-        _whole_array_lock_stmt(s, lock=False) for s in reversed(whole_specs)
+        (_var_lock_stmt(s, lock=True),
+         lambda s=s: _var_lock_stmt(s, lock=False),
+         _var_use(s, analysis))
+        for s in var_specs
     ]
-    if early_release:
-        # Safety-net releases for paths that never used the location.
-        unlock_stmts = var_unlocks + [
-            _early_unlock_stmt(s, v)
-            for s, v in reversed(list(zip(specs, base_vars)))
-        ] + [
-            _array_lock_stmt(s, v, lock=False)
-            for s, v in reversed(list(zip(array_specs, idx_vars)))
-        ]
-    else:
-        unlock_stmts = var_unlocks + [
-            _array_lock_stmt(s, v, lock=False)
-            for s, v in reversed(list(zip(array_specs, idx_vars)))
-        ] + [
-            _lock_stmt(s, v, lock=False)
-            for s, v in reversed(list(zip(specs, base_vars)))
-        ]
-    result_var = DEFAULT_SYMBOLS.gensym("lockresult")
-    body_value = (
-        func.body[0] if len(func.body) == 1 else N.Progn(list(func.body))
-    )
-    func.body = [
-        N.Let(
-            bindings,
-            lock_stmts
-            + [
-                N.Let(
-                    [(result_var, body_value)],
-                    unlock_stmts + [N.Var(result_var)],
-                )
-            ],
-            sequential=True,
+    serialize = result.serialize_lock
+    if serialize is not None:
+        phases.append((
+            _serialize_lock_stmt(serialize, lock=True),
+            lambda: _serialize_lock_stmt(serialize, lock=False),
+            _shared_use(analysis),
+        ))
+
+    bound = frozenset(func.params) | frozenset(v for v, _ in bindings)
+    body = list(func.body)
+    closures = list(_closures(body, bound))
+    released: set[int] = set()
+    for _lock, release, uses in phases:
+        # A closure can run after the statement that makes it (a let or
+        # setq binds it, a later funcall or mapcar calls it), so a lock
+        # used inside a lambda is held to the end of the invocation.
+        if not early_release or any(uses(lam, names)
+                                    for lam, names in closures):
+            uses = _any_work
+        body, placed, final = place_release(
+            body, uses, release, bound, released
         )
+        if uses is not _any_work:
+            result.early_releases += placed
+    # The serialize lock is placed last: ``final`` is its verdict.
+    result.serialized = serialize is not None and final
+    func.body = [
+        N.Let(bindings, [lock for lock, _, _ in phases] + body, sequential=True)
     ]
     return result
+
+
+def _any_work(stmt: N.Node, bound: frozenset) -> bool:
+    """End-of-invocation "use": every statement but a bare value."""
+    return not _trivial(stmt)
+
+
+def _closures(nodes, bound: frozenset):
+    """Each outermost lambda in ``nodes``, with the names bound at it."""
+    for node in nodes:
+        if isinstance(node, N.Lambda):
+            yield node, bound
+        elif isinstance(node, N.Let):
+            inner = bound
+            for name, init in node.bindings:
+                yield from _closures(
+                    [init], inner if node.sequential else bound
+                )
+                inner = inner | {name}
+            yield from _closures(node.body, inner)
+        else:
+            yield from _closures(node.children(), bound)

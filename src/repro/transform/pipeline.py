@@ -135,6 +135,8 @@ class CurareResult:
                     f"spawn(s), {self.cri.future_sites} future(s), "
                     f"{self.cri.hoisted} hoisted"
                 )
+                for note in self.cri.notes:
+                    lines.append(f";;     {note}")
             if self.delay and self.delay.moved:
                 lines.append(f";;   delayed {self.delay.moved} statement(s) into the head")
             if self.reorder and self.reorder.atomicized:
@@ -153,10 +155,19 @@ class CurareResult:
                 )
                 for spec in all_specs:
                     lines.append(f";;     {spec.describe()}")
-                if self.locking.concurrency_bound is not None:
+                # min(d_i) bounds the overlap only while every lock is
+                # held to the end of the invocation.
+                if (self.locking.concurrency_bound is not None
+                        and not self.locking.early_releases):
                     lines.append(
                         f";;   lock-limited concurrency ≤ "
                         f"{self.locking.concurrency_bound}"
+                    )
+                if self.locking.serialized:
+                    lines.append(
+                        ";;   runs serialized: every path holds the "
+                        "serialization lock to its end, forced by: "
+                        + "; ".join(self.locking.serialize_lock.reasons)
                     )
         if self.feedback is not None:
             lines.append(self.feedback.render())
@@ -225,12 +236,18 @@ class Curare:
         suffix: str = "-cc",
         mode: str = "spawn",
         use_delay: bool = False,
-        early_release: bool = False,
+        early_release: bool = True,
         prefer_dps: bool = True,
         treat_tail_as_free: bool = True,
         define: bool = True,
         queue_var: str = "*task-queue*",
     ) -> CurareResult:
+        """Run the whole flow on ``name`` (see the module docstring).
+
+        Locks are released right after their last use on each path;
+        ``early_release=False`` holds them to the end of the invocation
+        instead, the comparison arm of bench A8.
+        """
         rec = self.recorder
         if rec is None:
             return self._transform_impl(
@@ -251,7 +268,7 @@ class Curare:
         suffix: str = "-cc",
         mode: str = "spawn",
         use_delay: bool = False,
-        early_release: bool = False,
+        early_release: bool = True,
         prefer_dps: bool = True,
         treat_tail_as_free: bool = True,
         define: bool = True,

@@ -211,8 +211,10 @@ class TestRenderingIgnoresProcessHistory:
         (STRICT, "strict-sum", api.TransformOptions()),
         (FIG5, "f5", api.TransformOptions()),
         (FIG5, "f5", api.TransformOptions(early_release=True)),
+        (FIG5, "f5", api.TransformOptions(early_release=False)),
         (FIG5, "f5", api.TransformOptions(whole_program=True)),
-    ], ids=["strict", "fig5", "fig5-early-release", "fig5-whole-program"])
+    ], ids=["strict", "fig5", "fig5-early-release", "fig5-end-release",
+            "fig5-whole-program"])
     def test_same_bytes_after_the_counter_grows(self, monkeypatch, source,
                                                 function, options):
         monkeypatch.setattr(DEFAULT_SYMBOLS, "_gensym_counter",

@@ -51,8 +51,13 @@ class TestTransform:
         assert "enqueue!" in capsys.readouterr().out
 
     def test_early_release_flag(self, fig5_file, capsys):
-        main(["transform", fig5_file, "-f", "f5", "--early-release"])
-        assert "unlock-loc-if-held!" in capsys.readouterr().out
+        # Last-use release is the protocol, so the flag is gone.
+        main(["transform", fig5_file, "-f", "f5"])
+        out = capsys.readouterr().out
+        branch = out[out.index("(setf (cadr l)"):]
+        assert branch.index("(unlock-loc! ") < branch.index("(spawn")
+        with pytest.raises(SystemExit):
+            main(["transform", fig5_file, "-f", "f5", "--early-release"])
 
     def test_untransformable_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "plain.lisp"

@@ -7,8 +7,10 @@ driver (sequential runner, simulated machine, bench harness) can flip
 ``eval_mode`` without observable change.  The production trampoline
 merges each run of adjacent ticks into one, so the comparison has two
 steps: compiled frames driven through a non-merging trampoline (kept
-here as the oracle) match the interpreter effect for effect, and the
-production stream is that oracle stream with its tick runs merged.
+here as the oracle) match the interpreter effect for effect (a
+compiled ``while`` folds its unit ticks itself, so each folded run
+matches as that many cost-1 ticks ending in its last label), and the
+production stream is the interpreter's with its tick runs merged.
 Three layers of evidence:
 
 1. Hypothesis differential tests over randomly generated programs,
@@ -46,7 +48,7 @@ from repro.lisp.errors import (
 )
 from repro.lisp.interpreter import Interpreter
 from repro.lisp.runner import SequentialRunner
-from repro.lisp.trampoline import TICK_RUN_CAP, Invoke
+from repro.lisp.trampoline import TICK_RUN_CAP, Invoke, TickRun
 from repro.obs import Recorder, chrome_trace_dict
 from repro.obs.golden import diff_projections, structural_projection
 from repro.obs.workloads import run_trace_workload, trace_workloads
@@ -131,6 +133,25 @@ def _merge_ticks(events: list[tuple]) -> list[tuple]:
     return out
 
 
+def _unfold(compiled: list[tuple], interp: list[tuple]) -> list[tuple]:
+    """``compiled`` with each folded run ``("ticks", n, op)`` replaced by
+    the interpreter's ``n`` entries at that point, provided they are
+    cost-1 ticks ending in ``op``: the stream the oracle trampoline
+    would show had the loop yielded its ticks one by one."""
+    out: list[tuple] = []
+    for event in compiled:
+        if event[0] != "ticks":
+            out.append(event)
+            continue
+        _tag, n, op = event
+        run = interp[len(out):len(out) + n]
+        assert len(run) == n and all(e[:2] == ("tick", 1) for e in run), \
+            f"folded run of {n} does not match {run[:3]}..."
+        assert run[-1][2] == op, f"folded run ends in {op}, not {run[-1]}"
+        out.extend(run)
+    return out
+
+
 def _fingerprint(interp: Interpreter, form, mode: str) -> list[tuple]:
     """Drive one form to completion, recording every effect.
 
@@ -173,6 +194,8 @@ def _fingerprint(interp: Interpreter, form, mode: str) -> list[tuple]:
         reply = None
         if isinstance(effect, Tick):
             events.append(("tick", effect.cost, effect.op))
+        elif isinstance(effect, TickRun):
+            events.append(("ticks", effect.count, effect.last.op))
         elif isinstance(effect, MemRead):
             events.append(("read", canon(effect.cell), effect.field))
         elif isinstance(effect, MemWrite):
@@ -200,7 +223,8 @@ def _differential(defs: str, exprs: list[str]) -> None:
     drained through a matching-mode runner first, so compiled functions
     compile their own prototypes); each expression in ``exprs`` is then
     fingerprinted.  The compiled stream must equal the interpreter's
-    event for event, and the merged stream must equal it with its tick
+    event for event (a folded run standing for its unit ticks, see
+    :func:`_unfold`), and the merged stream must equal it with its tick
     runs merged.
     """
     streams: dict[str, list[list[tuple]]] = {}
@@ -220,7 +244,7 @@ def _differential(defs: str, exprs: list[str]) -> None:
     for text, got, want, merged in zip(
         exprs, streams["compiled"], streams["interpreter"], streams["merged"]
     ):
-        assert got == want, f"effect streams diverge on {text}"
+        assert _unfold(got, want) == want, f"effect streams diverge on {text}"
         assert merged == _merge_ticks(want), f"tick runs diverge on {text}"
 
 
@@ -429,6 +453,18 @@ class TestTickMerging:
         assert all(cost >= TICK_RUN_CAP for cost in ticks[:-1])
         assert ticks[-1] < TICK_RUN_CAP
         assert merged[-1][:2] == ("err", "WrongType")
+
+    def test_a_loop_body_longer_than_the_cap(self):
+        # One iteration of this body would fold more than a run holds,
+        # so its statements run out of line; streams still match.
+        body = " ".join(["(setq c (+ c i))"] * (TICK_RUN_CAP // 2))
+        defs = f"""
+        (defun wide (n)
+          (let ((c 0) (i 0))
+            (while (< i n) {body} (setq i (1+ i)))
+            c))
+        """
+        _differential(defs, ["(wide 3)"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""Unit tests: early (last-use) lock release (§3.2.1)."""
+"""Unit tests: last-use lock release (§3.2.1), the locking protocol.
+
+Every lock is released once on each path, right after that path's
+last use; ``early_release=False`` keeps the end-of-invocation arm that
+bench A8 compares against.
+"""
 
 import pytest
 
 from repro.analysis.conflicts import analyze_function
 from repro.ir.unparse import unparse_function
 from repro.lisp.interpreter import Interpreter
+from repro.lisp.runner import SequentialRunner
 from repro.runtime.machine import Machine
+from repro.runtime.racecheck import RaceDetector
 from repro.sexpr.printer import write_str
 from repro.transform.locking import insert_locks
 from repro.transform.pipeline import Curare
@@ -27,19 +34,20 @@ def analyzed(interp, runner, src=SRC, name="f"):
 class TestInsertion:
     def test_early_releases_inserted(self, interp, runner):
         a = analyzed(interp, runner)
-        result = insert_locks(a, early_release=True)
+        result = insert_locks(a)
         assert result.early_releases >= 1
         text = write_str(unparse_function(result.func))
-        assert "unlock-loc-if-held!" in text
+        assert "(unlock-loc! " in text
+        assert "if-held" not in text
 
     def test_early_release_precedes_recursion(self, interp, runner):
         a = analyzed(interp, runner)
-        result = insert_locks(a, early_release=True)
+        result = insert_locks(a)
         text = write_str(unparse_function(result.func))
-        # In the mutating branch, the if-held release comes right after
-        # the setf and before the recursive call.
+        # In the mutating branch, the release comes right after the
+        # setf and before the recursive call.
         branch = text[text.index("(setf (cadr l)"):]
-        assert branch.index("unlock-loc-if-held!") < branch.index("(f (cdr l))")
+        assert branch.index("(unlock-loc! ") < branch.index("(f (cdr l))")
 
     def test_default_has_no_early_releases(self, interp, runner):
         a = analyzed(interp, runner)
@@ -58,14 +66,15 @@ class TestInsertion:
             (f (cdr l))))
         """
         a = analyzed(interp, runner, src)
-        result = insert_locks(a, early_release=True)
+        result = insert_locks(a)
         text = write_str(unparse_function(result.func))
         # The release must come after the whole while, not inside it.
         while_at = text.index("(while")
-        release_at = text.index("unlock-loc-if-held!")
-        close_of_while = text.index("(f (cdr l))")
-        assert release_at > while_at
-        assert "if-held" not in text[while_at:text.index("(setq n (1+ n))")]
+        loop_end = text.index("(setq n (1+ n))")
+        mutating = text.index("(let ((n 0))")
+        release_at = text.index("(unlock-loc! ", mutating)
+        assert release_at > loop_end
+        assert "unlock" not in text[while_at:loop_end]
 
 
 class TestSemantics:
@@ -123,17 +132,183 @@ class TestSemantics:
             concs[early] = stats.mean_concurrency
         assert concs[True] > concs[False] * 1.5
 
-    def test_if_held_release_is_noop_when_not_held(self, runner):
-        # Direct builtin exercise: releasing an unheld lock with the
-        # if-held variant must not raise on the machine.
-        from repro.lisp.interpreter import Interpreter
-        from repro.runtime.machine import Machine
 
+class TestPlacementDefects:
+    """Two defects of the earlier per-sequence placement (if-held
+    releases), pinned on the programs that showed them."""
+
+    def test_release_keeps_the_value_of_its_sequence(self):
+        # The clause's last statement is its last use of l.car: a
+        # release appended after it made the function return nil.
+        src = """
+        (defun h (l)
+          (cond ((null (cdr l)) 0)
+                (t (setf (cadr l) (+ (car l) (cadr l)))
+                   (h (cdr l))
+                   (car l))))
+        """
+        want = SequentialRunner(Interpreter()).eval_text(
+            src + " (h (list 1 2 3 4))")
+        assert want == 1
         interp = Interpreter()
-        machine = Machine(interp, processors=1)
-        machine.spawn_text(
-            "(let ((c (cons 1 2))) (unlock-loc-if-held! c 'car) 7)"
-        )
-        stats = machine.run()
-        proc = list(machine.processes.values())[0]
-        assert proc.result == 7
+        curare = Curare(interp, assume_sapp=True)
+        curare.load_program(src)
+        curare.transform("h", early_release=True)
+        curare.runner.eval_text("(setq d (list 1 2 3 4))")
+        machine = Machine(interp, processors=4)
+        main = machine.spawn_text("(h-cc d)")
+        machine.run()
+        assert main.result == want
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_nested_release_waits_for_later_uses(self, seed):
+        # The inner progn's last use of l.cddr.car is not the path's
+        # last: the tail setf after the spawn uses it again, so the
+        # lock may only go after that (the end-of-invocation result).
+        src = """
+        (declaim (pure burn))
+        (defun burn (n) (let ((i 0)) (while (< i n) (setq i (1+ i))) i))
+        (defun f (l)
+          (when (cddr l)
+            (if (> (car l) 0)
+                (progn (setf (caddr l) (+ (caddr l) (car l))) (burn 30))
+                nil)
+            (f (cdr l))
+            (burn 200)
+            (setf (caddr l) (* 2 (caddr l)))))
+        """
+        interp = Interpreter()
+        curare = Curare(interp, assume_sapp=True)
+        curare.load_program(src)
+        curare.transform("f", early_release=True)
+        curare.runner.eval_text("(setq d (list 1 2 3 4 5 6 7 8))")
+        detector = RaceDetector()
+        policy = {} if seed is None else {"policy": "random", "seed": seed}
+        machine = Machine(interp, processors=4, race_detector=detector,
+                          **policy)
+        machine.spawn_text("(f-cc d)")
+        machine.run()
+        assert detector.races == []
+        assert write_str(curare.runner.eval_text("d")) == \
+            "(1 2 8 12 26 36 66 88)"
+
+
+#: A closure made in one statement and called in a later one (through a
+#: let or setq binding, by funcall or mapcar): the lock its body uses
+#: must outlive the call, not just the statement that makes it.
+CLOSURE_SRCS = {
+    "let-funcall": """
+    (defun f (l)
+      (when (cdr l)
+        (let ((bump (lambda () (setf (cadr l) (+ (car l) (cadr l))))))
+          (funcall bump)
+          (f (cdr l)))))
+    """,
+    "setq-funcall": """
+    (defun f (l)
+      (when (cdr l)
+        (let ((bump nil))
+          (setq bump (lambda () (setf (cadr l) (+ (car l) (cadr l)))))
+          (funcall bump)
+          (f (cdr l)))))
+    """,
+    "let-mapcar": """
+    (defun f (l)
+      (when (cdr l)
+        (let ((bump (lambda (x) (setf (cadr l) (+ (car l) (cadr l))))))
+          (mapcar bump (list 1))
+          (f (cdr l)))))
+    """,
+}
+
+
+class TestClosureUses:
+    """A lock used inside a lambda is held to the end of the invocation."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("shape", sorted(CLOSURE_SRCS))
+    def test_location_lock_outlives_the_closure_call(self, shape, seed):
+        interp = Interpreter()
+        curare = Curare(interp, assume_sapp=True)
+        curare.load_program(CLOSURE_SRCS[shape])
+        result = curare.transform("f")
+        assert result.locking.locks and result.locking.serialize_lock is None
+        curare.runner.eval_text("(setq d (list 1 2 3 4 5 6 7 8))")
+        detector = RaceDetector()
+        policy = {} if seed is None else {"policy": "random", "seed": seed}
+        machine = Machine(interp, processors=4, race_detector=detector,
+                          **policy)
+        machine.spawn_text("(f-cc d)")
+        machine.run()
+        assert detector.races == []
+        assert write_str(curare.runner.eval_text("d")) == \
+            "(1 3 6 10 15 21 28 36)"
+
+    def test_variable_lock_outlives_a_mapcar_closure(self):
+        src = """
+        (setq acc 0)
+        (defun f (l)
+          (when l
+            (let ((g (lambda (x) (setq acc (+ (* 2 acc) x)))))
+              (mapcar g (list (car l)))
+              (f (cdr l)))))
+        """
+        interp = Interpreter()
+        curare = Curare(interp, assume_sapp=True)
+        curare.load_program(src)
+        result = curare.transform("f")
+        assert [s.name.name for s in result.locking.var_locks] == ["acc"]
+        text = write_str(result.final_form)
+        branch = text[text.index("(let ((g "):]
+        assert branch.index("(mapcar g ") < branch.index("(unlock-var! 'acc)")
+
+
+class TestReport:
+    def test_bound_printed_only_while_locks_are_held_to_the_end(self):
+        # min(d_i) bounds the overlap of end-of-invocation locking;
+        # last-use release runs past it (bench A8).
+        for early, shown in ((True, False), (False, True)):
+            interp = Interpreter()
+            curare = Curare(interp, assume_sapp=True)
+            curare.load_program(SRC)
+            result = curare.transform("f", early_release=early)
+            assert result.locking.concurrency_bound == 1
+            assert ("lock-limited concurrency" in result.report()) == shown
+
+
+class TestSerializeRelease:
+    def test_serialize_lock_released_before_pure_tail(self):
+        src = """
+        (declaim (pure burn))
+        (defun burn (n) (let ((i 0)) (while (< i n) (setq i (1+ i))) i))
+        (defun g (l)
+          (when l (setf (car l) (+ 1 (car l))) (g (cdr l)) (burn 40)))
+        """
+        interp = Interpreter()
+        curare = Curare(interp)
+        curare.load_program(src)
+        result = curare.transform("g")
+        assert result.locking.serialize_lock is not None
+        assert not result.locking.serialized
+        text = write_str(result.final_form)
+        tail = text[text.index("(spawn"):]
+        assert tail.index("(unlock-var! '%serialize-g%)") \
+            < tail.index("(burn 40)")
+        assert "runs serialized" not in result.report()
+
+    def test_report_says_when_code_runs_serialized(self):
+        # The misdeclared benchmark family without its lying
+        # declaration: its last shared-state use is its last statement.
+        src = """
+        (declaim (pure burn))
+        (defun burn (n) (let ((i 0)) (while (< i n) (setq i (1+ i))) i))
+        (defun f (l)
+          (when l (burn 5) (f (cdr l)) (setf (car l) 0)
+            (when (cdr l) (setf (cadr l) 1))))
+        """
+        interp = Interpreter()
+        curare = Curare(interp)
+        curare.load_program(src)
+        report = curare.transform("f").report()
+        assert "runs serialized" in report
+        assert "parameter l needs (declaim (sapp f l))" in report
