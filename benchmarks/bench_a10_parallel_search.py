@@ -51,7 +51,7 @@ def measure():
         machine = Machine(interp, processors=procs, cost_model=FREE_SYNC)
         machine.spawn_text("(setq hit (probe-cc d))")
         stats = machine.run()
-        hit = interp.globals.lookup(interp.intern("hit"))
+        hit = interp.globals.lookup("hit")
         rows.append((procs, stats.total_time,
                      round(seq_time / stats.total_time, 2), hit))
 
@@ -66,7 +66,7 @@ def measure():
         machine = Machine(interp, processors=4, policy="random", seed=seed)
         machine.spawn_text("(setq hit (probe-cc d))")
         machine.run()
-        hits.add(interp.globals.lookup(interp.intern("hit")))
+        hits.add(interp.globals.lookup("hit"))
     return rows, seq_time, hits
 
 

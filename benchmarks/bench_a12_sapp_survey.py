@@ -82,7 +82,7 @@ def measure():
         interp = Interpreter()
         runner = SequentialRunner(interp)
         runner.eval_text(setup)
-        root = interp.globals.lookup(interp.intern("r"))
+        root = interp.globals.lookup("r")
         result = check_sapp(root, canon) if canon else check_sapp(root)
         rows.append((label, result.holds, expected, result.node_count))
         hold_count += bool(result.holds)

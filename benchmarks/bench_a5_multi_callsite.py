@@ -63,7 +63,7 @@ def measure():
             2 if "*task-queue*-1" in form_text else 1
         )
         curare.runner.eval_text(make_tree(TREE_DEPTH))
-        tree = interp.globals.lookup(interp.intern("tree"))
+        tree = interp.globals.lookup("tree")
         pool = run_server_pool(
             interp, "scale-cc", [tree], servers=servers, queues=2,
             cost_model=FREE_SYNC,

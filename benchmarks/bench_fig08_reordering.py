@@ -47,7 +47,7 @@ def run_both():
                 machine = Machine(i2, processors=4, policy="random", seed=seed)
                 machine.spawn_text("(f8-cc data)")
                 machine.run()
-                totals.add(i2.globals.lookup(i2.intern("a")))
+                totals.add(i2.globals.lookup("a"))
             correct = totals == {EXPECTED}
         atomicized = result.reorder.atomicized if result.reorder else 0
         rows.append((label, active, dismissed, atomicized, correct))

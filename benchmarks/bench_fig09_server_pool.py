@@ -39,7 +39,7 @@ def sweep():
     rows = []
     for servers in (1, 2, 4, 8):
         interp, curare = build("enqueue")
-        data = interp.globals.lookup(interp.intern("data"))
+        data = interp.globals.lookup("data")
         pool = run_server_pool(
             interp, "f-cc", [data], servers=servers, cost_model=COSTS
         )

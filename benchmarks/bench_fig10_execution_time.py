@@ -36,7 +36,7 @@ def measure():
         curare.load_program(work.source)
         curare.transform("f", mode="enqueue")
         curare.runner.eval_text(make_int_list(DEPTH))
-        data = interp.globals.lookup(interp.intern("data"))
+        data = interp.globals.lookup("data")
         pool = run_server_pool(
             interp, "f-cc", [data], servers=servers, cost_model=FREE_SYNC
         )

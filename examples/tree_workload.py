@@ -62,7 +62,7 @@ def main() -> None:
         c2.load_program(PROGRAM)
         c2.transform("tree-scale", mode="enqueue")
         c2.runner.eval_text(make_tree(TREE_DEPTH))
-        tree = i2.globals.lookup(i2.intern("tree"))
+        tree = i2.globals.lookup("tree")
         pool = run_server_pool(
             i2, "tree-scale-cc", [tree], servers=servers, queues=2,
             cost_model=FREE_SYNC,

@@ -656,6 +656,7 @@ def analyze_function(
     decls: Optional[DeclarationRegistry] = None,
     assume_sapp: bool = False,
     fresh_params: Optional[set[str]] = None,
+    sapp_of: Optional[str] = None,
 ) -> FunctionAnalysis:
     """Run the full §2 analysis on one function.
 
@@ -668,6 +669,13 @@ def analyze_function(
     by transformation provenance, not analysis — to be freshly allocated
     per invocation (the DPS destination, §5): references through them
     never conflict across invocations and carry no SAPP obligation.
+
+    ``sapp_of`` names the function whose ``sapp`` declarations cover
+    this one's parameters, for a helper the transformer generated from
+    it (the DPS function, §5): a parameter is SAPP exactly when the
+    original's parameter of the same name is declared so, and a missing
+    declaration is reported against the original, the name the user
+    wrote.
     """
     from repro.ir.lower import lower_function
 
@@ -703,16 +711,17 @@ def analyze_function(
     )
 
     fname = func.name.name
+    declared = sapp_of if sapp_of is not None else fname
     # SAPP obligations: every parameter with heap refs needs the property.
     for param in func.params:
         if any(r.param is param for r in heap_refs):
-            if decls.has_sapp(fname, param.name) or param.name in fresh:
+            if decls.has_sapp(declared, param.name) or param.name in fresh:
                 continue
             if assume_sapp:
                 analysis.sapp_assumed.append(param)
             else:
                 analysis.unknowns.append(
-                    f"parameter {param} needs (declaim (sapp {fname} {param}))"
+                    f"parameter {param} needs (declaim (sapp {declared} {param}))"
                 )
 
     # Heap conflicts: same-parameter pairs via transfer functions;

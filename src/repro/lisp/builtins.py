@@ -389,7 +389,7 @@ def _gb_set(interp: Any, name: Any, value: Any):
         raise WrongType("a symbol", name, "set")
     yield VarWrite(name, value)
     yield Tick(1, "set")
-    interp.globals.define(name, value)
+    interp.globals.define(name.name, value)
     return value
 
 
@@ -397,7 +397,7 @@ def _gb_symbol_value(interp: Any, name: Any):
     if not isinstance(name, Symbol):
         raise WrongType("a symbol", name, "symbol-value")
     yield Tick(1, "symbol-value")
-    return interp.globals.lookup(name)
+    return interp.globals.lookup(name.name)
 
 
 def _gb_eval(interp: Any, form: Any):

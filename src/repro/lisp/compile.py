@@ -38,6 +38,20 @@ Parity rules the design:
   interpreter state — is this head a macro? is this function defined?
   is this setf op a struct accessor? — is checked at execution time,
   exactly when the interpreter would, never frozen in at compile time.
+  A site that resolves a head symbol (a call's head, an inline builtin)
+  keeps its last resolution together with the world's
+  :attr:`~repro.lisp.interpreter.Interpreter.definition_token`.
+  :meth:`~repro.lisp.interpreter.Interpreter.define`, the only writer
+  of ``functions`` and ``macros``, replaces the token, so while the
+  token is unchanged both tables hold what they held at the last
+  resolution; the site repeats the two lookups only once it changed.
+  The interpreter's evaluation point is kept, and the Symbol is not
+  hashed on every execution.
+* **Frames keyed by name.**  Variable references, ``setq`` targets and
+  parameter, ``let`` and ``dolist`` bindings carry the name string
+  (:func:`~repro.lisp.env.binding_key`) computed at compile time, so
+  environment lookups hash a ``str``, whose hash CPython caches (see
+  :mod:`repro.lisp.env`).
 
 Calls are stackless: a compiled call site yields
 :class:`~repro.lisp.trampoline.Invoke` with the callee's generator
@@ -64,7 +78,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.lisp.effects import Annotate, SpawnProcess, Tick
-from repro.lisp.env import Environment
+from repro.lisp.env import Environment, binding_key
 from repro.lisp.errors import (
     EvalError,
     LispError,
@@ -103,7 +117,7 @@ Code = Callable[[Environment], EvalGen]
 Proto = Callable[[Environment, List[Any]], EvalGen]
 
 #: An argument plan: (kind, payload).  Kind 0 = constant (payload is the
-#: value), kind 1 = variable (payload is the Symbol), kind 2 = general
+#: value), kind 1 = variable (payload is its name), kind 2 = general
 #: (payload is a Code).  Constants and variables evaluate inline at the
 #: use site without allocating a generator frame.
 Plan = Tuple[int, Any]
@@ -145,6 +159,25 @@ def _inline_ticks(kind: int, payload: Any) -> int:
         return 1 + _inline_ticks(payload[1], payload[2])
     return 0
 
+
+def _resolve_inline(interp: Interpreter, head: Symbol, memo: List[Any]) -> None:
+    """Resolve an inline call site's head under the current definition
+    token.  ``memo`` is ``[token, fn, tick]``: ``fn`` is the plain
+    builtin the consumer runs in its own frame, or None when the head is
+    a macro, a closure, a generator builtin or undefined (the site then
+    runs its generic code, which resolves the head itself); ``tick`` is
+    ``fn``'s Tick, rebuilt only when ``fn`` changes.  A site reads
+    ``fn`` and ``tick`` together, before any yield: another process may
+    re-resolve the shared memo while this one is suspended."""
+    fn = interp.functions.get(head)
+    if fn.__class__ is Builtin and not fn.is_generator \
+            and interp.macros.get(head) is None:
+        if memo[1] is not fn:
+            memo[1] = fn
+            memo[2] = Tick(fn.cost, fn.name)
+    else:
+        memo[1] = None
+    memo[0] = interp.definition_token
 
 
 def get_compiler(interp: Interpreter) -> "Compiler":
@@ -269,9 +302,9 @@ class Compiler:
     def _compile(self, form: Any) -> Code:
         if isinstance(form, Symbol):
 
-            def var_code(env: Environment, sym: Symbol = form) -> EvalGen:
+            def var_code(env: Environment, name: str = form.name) -> EvalGen:
                 yield _T_VAR
-                return env.lookup(sym)
+                return env.lookup(name)
 
             return var_code
         if not isinstance(form, Cons):
@@ -294,7 +327,7 @@ class Compiler:
     def _plan(self, form: Any) -> Plan:
         """Plan an expression position: constant / variable / general."""
         if isinstance(form, Symbol):
-            return (1, form)
+            return (1, form.name)
         if not isinstance(form, Cons):
             return (0, form)
         h = form.car
@@ -330,7 +363,7 @@ class Compiler:
             node = node.cdr
         if node is not None:
             return plan  # dotted argument tail: generic path
-        memo: List[Any] = [None, None]
+        memo: List[Any] = [None, None, None]  # see _resolve_inline
         return (3, (head, plan[1], tuple(subplans), memo))
 
     def _plan_stmt(self, form: Any) -> Plan:
@@ -346,7 +379,7 @@ class Compiler:
                 args = _args(form)
                 if len(args) == 2 and isinstance(args[0], Symbol):
                     vk, vp = self._plan_inline(args[1])
-                    return (4, (args[0], vk, vp))
+                    return (4, (args[0].name, vk, vp))
         return self._plan_inline(form)
 
     def _seq(self, forms: List[Any]) -> Code:
@@ -354,8 +387,7 @@ class Compiler:
         if len(forms) == 1:
             return self.code_for(forms[0])
         plans = tuple(self._plan_inline(f) for f in forms)
-        macros = self.interp.macros
-        functions = self.interp.functions
+        interp = self.interp
 
         def seq_code(env: Environment) -> EvalGen:
             result: Any = None
@@ -370,9 +402,11 @@ class Compiler:
                     result = env.lookup(payload)
                 else:
                     head, fallback, subplans, memo = payload
-                    fn = functions.get(head)
-                    if fn.__class__ is Builtin and not fn.is_generator \
-                            and macros.get(head) is None:
+                    if memo[0] is not interp.definition_token:
+                        _resolve_inline(interp, head, memo)
+                    fn = memo[1]
+                    if fn is not None:
+                        tick = memo[2]
                         cargs: List[Any] = []
                         for k2, p2 in subplans:
                             if k2 == 0:
@@ -380,10 +414,7 @@ class Compiler:
                             else:
                                 yield _T_VAR
                                 cargs.append(env.lookup(p2))
-                        if memo[0] is not fn:
-                            memo[0] = fn
-                            memo[1] = Tick(fn.cost, fn.name)
-                        yield memo[1]
+                        yield tick
                         result = fn.fn(*cargs)
                     else:
                         result = yield from fallback(env)
@@ -406,21 +437,28 @@ class Compiler:
     def _compile_call(self, form: Cons, head: Symbol) -> Code:
         plans = self._arg_plans(form)
         interp = self.interp
-        macros = interp.macros
-        functions = interp.functions
-        # Per-call-site memo of the last Builtin seen and its Tick, so
-        # the frozen dataclass is not rebuilt on every execution.
-        memo: List[Any] = [None, None]
+        # The head's last resolution: [token, macro?, fn, fn's Tick when
+        # a Builtin] (see _resolve_inline for the token).
+        memo: List[Any] = [None, False, None, None]
 
         def call_code(env: Environment) -> EvalGen:
             # Both namespaces are consulted at execution time, exactly
             # when the interpreter would: macros and functions defined
-            # after this site compiled are still honored.
-            if macros.get(head) is not None:
+            # after this site compiled are still honored, because
+            # defining one replaces the token.
+            if memo[0] is not interp.definition_token:
+                fn = interp.functions.get(head)
+                if fn.__class__ is Builtin and memo[2] is not fn:
+                    memo[3] = Tick(fn.cost, fn.name)
+                memo[1] = interp.macros.get(head) is not None
+                memo[2] = fn
+                memo[0] = interp.definition_token
+            if memo[1]:
                 return (yield from interp.eval_gen(form, env))
-            fn = functions.get(head)
+            fn = memo[2]
             if fn is None:
                 raise UndefinedFunction(head)
+            tick = memo[3]
             args: List[Any] = []
             for kind, payload in plans:
                 if kind == 0:
@@ -430,9 +468,11 @@ class Compiler:
                     args.append(env.lookup(payload))
                 elif kind == 3:
                     ihead, fallback, subplans, imemo = payload
-                    ifn = functions.get(ihead)
-                    if ifn.__class__ is Builtin and not ifn.is_generator \
-                            and macros.get(ihead) is None:
+                    if imemo[0] is not interp.definition_token:
+                        _resolve_inline(interp, ihead, imemo)
+                    ifn = imemo[1]
+                    if ifn is not None:
+                        itick = imemo[2]
                         cargs: List[Any] = []
                         for k2, p2 in subplans:
                             if k2 == 0:
@@ -440,10 +480,7 @@ class Compiler:
                             else:
                                 yield _T_VAR
                                 cargs.append(env.lookup(p2))
-                        if imemo[0] is not ifn:
-                            imemo[0] = ifn
-                            imemo[1] = Tick(ifn.cost, ifn.name)
-                        yield imemo[1]
+                        yield itick
                         args.append(ifn.fn(*cargs))
                     else:
                         args.append((yield from fallback(env)))
@@ -451,10 +488,7 @@ class Compiler:
                     args.append((yield from payload(env)))
             cls = fn.__class__
             if cls is Builtin:
-                if memo[0] is not fn:
-                    memo[0] = fn
-                    memo[1] = Tick(fn.cost, fn.name)
-                yield memo[1]
+                yield tick
                 if fn.is_generator:
                     return (yield from fn.fn(interp, *args))
                 return fn.fn(*args)
@@ -471,8 +505,6 @@ class Compiler:
         head_code = self.code_for(head)
         plans = self._arg_plans(form)
         interp = self.interp
-        macros = interp.macros
-        functions = interp.functions
 
         def lambda_call_code(env: Environment) -> EvalGen:
             fn = yield from head_code(env)
@@ -485,9 +517,11 @@ class Compiler:
                     args.append(env.lookup(payload))
                 elif kind == 3:
                     ihead, fallback, subplans, imemo = payload
-                    ifn = functions.get(ihead)
-                    if ifn.__class__ is Builtin and not ifn.is_generator \
-                            and macros.get(ihead) is None:
+                    if imemo[0] is not interp.definition_token:
+                        _resolve_inline(interp, ihead, imemo)
+                    ifn = imemo[1]
+                    if ifn is not None:
+                        itick = imemo[2]
                         cargs: List[Any] = []
                         for k2, p2 in subplans:
                             if k2 == 0:
@@ -495,10 +529,7 @@ class Compiler:
                             else:
                                 yield _T_VAR
                                 cargs.append(env.lookup(p2))
-                        if imemo[0] is not ifn:
-                            imemo[0] = ifn
-                            imemo[1] = Tick(ifn.cost, ifn.name)
-                        yield imemo[1]
+                        yield itick
                         args.append(ifn.fn(*cargs))
                     else:
                         args.append((yield from fallback(env)))
@@ -541,65 +572,23 @@ class Compiler:
             required.append(p)
             i += 1
         nreq = len(required)
+        keys = tuple(binding_key(p) for p in required)
+        rest_key = binding_key(rest_sym) if rest_sym is not None else None
+        expected = str(nreq) if rest_key is None else f"at least {nreq}"
         tick = Tick(1, f"call {name or 'lambda'}")
         body_plans = tuple(self._plan_inline(f) for f in body)
-        macros = self.interp.macros
-        functions = self.interp.functions
-        if rest_sym is None:
-            expected = str(nreq)
+        interp = self.interp
 
-            def proto(env: Environment, args: List[Any]) -> EvalGen:
-                yield tick
-                if len(args) != nreq:
-                    raise _arity_error(name, expected, len(args))
-                call_env = Environment(env)
-                bindings = call_env.bindings
-                for p, v in zip(required, args):
-                    bindings[p] = v
-                result: Any = None
-                for kind, payload in body_plans:
-                    if kind == 2:
-                        # Flat-chain the statement (see let_star_code).
-                        result = yield Invoke(payload(call_env))
-                    elif kind == 0:
-                        result = payload
-                    elif kind == 1:
-                        yield _T_VAR
-                        result = call_env.lookup(payload)
-                    else:
-                        head, fallback, subplans, memo = payload
-                        fn = functions.get(head)
-                        if fn.__class__ is Builtin and not fn.is_generator \
-                                and macros.get(head) is None:
-                            cargs: List[Any] = []
-                            for k2, p2 in subplans:
-                                if k2 == 0:
-                                    cargs.append(p2)
-                                else:
-                                    yield _T_VAR
-                                    cargs.append(call_env.lookup(p2))
-                            if memo[0] is not fn:
-                                memo[0] = fn
-                                memo[1] = Tick(fn.cost, fn.name)
-                            yield memo[1]
-                            result = fn.fn(*cargs)
-                        else:
-                            result = yield from fallback(call_env)
-                return result
-
-            return proto
-        at_least = f"at least {nreq}"
-        rest = rest_sym
-
-        def rest_proto(env: Environment, args: List[Any]) -> EvalGen:
+        def proto(env: Environment, args: List[Any]) -> EvalGen:
             yield tick
-            if len(args) < nreq:
-                raise _arity_error(name, at_least, len(args))
+            if len(args) != nreq and (rest_key is None or len(args) < nreq):
+                raise _arity_error(name, expected, len(args))
             call_env = Environment(env)
             bindings = call_env.bindings
-            for p, v in zip(required, args):
-                bindings[p] = v
-            bindings[rest] = lisp_list(*args[nreq:])
+            for k, v in zip(keys, args):
+                bindings[k] = v
+            if rest_key is not None:
+                bindings[rest_key] = lisp_list(*args[nreq:])
             result: Any = None
             for kind, payload in body_plans:
                 if kind == 2:
@@ -612,26 +601,25 @@ class Compiler:
                     result = call_env.lookup(payload)
                 else:
                     head, fallback, subplans, memo = payload
-                    fn = functions.get(head)
-                    if fn.__class__ is Builtin and not fn.is_generator \
-                            and macros.get(head) is None:
-                        cargs2: List[Any] = []
+                    if memo[0] is not interp.definition_token:
+                        _resolve_inline(interp, head, memo)
+                    fn = memo[1]
+                    if fn is not None:
+                        ftick = memo[2]
+                        cargs: List[Any] = []
                         for k2, p2 in subplans:
                             if k2 == 0:
-                                cargs2.append(p2)
+                                cargs.append(p2)
                             else:
                                 yield _T_VAR
-                                cargs2.append(call_env.lookup(p2))
-                        if memo[0] is not fn:
-                            memo[0] = fn
-                            memo[1] = Tick(fn.cost, fn.name)
-                        yield memo[1]
-                        result = fn.fn(*cargs2)
+                                cargs.append(call_env.lookup(p2))
+                        yield ftick
+                        result = fn.fn(*cargs)
                     else:
                         result = yield from fallback(call_env)
             return result
 
-        return rest_proto
+        return proto
 
     def _compile_defun(self, form: Cons) -> Code:
         args = _args(form)
@@ -654,7 +642,7 @@ class Compiler:
             closure.compiled_site = state
             if state:
                 closure.compiled = state[0]
-            interp.functions[name] = closure
+            interp.define(name, closure)
             interp.source_forms[name] = form
             yield _T_DEFUN
             return name
@@ -822,7 +810,7 @@ class Compiler:
         args = _args(form)
         if not args:
             raise EvalError("let needs a binding list", form)
-        specs: List[Tuple[Symbol, Plan]] = []
+        specs: List[Tuple[str, Plan]] = []
         bindings = list_to_pylist(args[0]) if args[0] is not None else []
         for binding in bindings:
             if isinstance(binding, Symbol):
@@ -839,7 +827,7 @@ class Compiler:
                 raise EvalError("malformed let binding", form)
             if not isinstance(name, Symbol):
                 raise EvalError("let binding name must be a symbol", form)
-            specs.append((name, self._plan(init)))
+            specs.append((name.name, self._plan(init)))
         body_code = self._seq(args[1:])
 
         if sequential:
@@ -889,14 +877,13 @@ class Compiler:
         args = _args(form)
         if len(args) % 2 != 0 or not args:
             raise EvalError("setq needs name/value pairs", form)
-        pairs: List[Tuple[Symbol, Plan]] = []
+        pairs: List[Tuple[str, Plan]] = []
         for i in range(0, len(args), 2):
             name = args[i]
             if not isinstance(name, Symbol):
                 raise EvalError("setq name must be a symbol", form)
-            pairs.append((name, self._plan_inline(args[i + 1])))
-        macros = self.interp.macros
-        functions = self.interp.functions
+            pairs.append((name.name, self._plan_inline(args[i + 1])))
+        interp = self.interp
 
         def setq_code(env: Environment) -> EvalGen:
             value: Any = None
@@ -909,9 +896,11 @@ class Compiler:
                     value = env.lookup(payload)
                 elif kind == 3:
                     head, fallback, subplans, memo = payload
-                    fn = functions.get(head)
-                    if fn.__class__ is Builtin and not fn.is_generator \
-                            and macros.get(head) is None:
+                    if memo[0] is not interp.definition_token:
+                        _resolve_inline(interp, head, memo)
+                    fn = memo[1]
+                    if fn is not None:
+                        tick = memo[2]
                         cargs: List[Any] = []
                         for k2, p2 in subplans:
                             if k2 == 0:
@@ -919,10 +908,7 @@ class Compiler:
                             else:
                                 yield _T_VAR
                                 cargs.append(env.lookup(p2))
-                        if memo[0] is not fn:
-                            memo[0] = fn
-                            memo[1] = Tick(fn.cost, fn.name)
-                        yield memo[1]
+                        yield tick
                         value = fn.fn(*cargs)
                     else:
                         value = yield from fallback(env)
@@ -956,7 +942,7 @@ class Compiler:
         if isinstance(place, Symbol):
             vk, vp = self._plan(value_form)
 
-            def setf_var_code(env: Environment, name: Symbol = place) -> EvalGen:
+            def setf_var_code(env: Environment, name: str = place.name) -> EvalGen:
                 yield _T_SETF_VAR
                 if vk == 0:
                     value = vp
@@ -1127,8 +1113,7 @@ class Compiler:
             body_plans = tuple((2, self.code_for(f)) for f in args[1:])
             per_iter = 1
         limit = TICK_RUN_CAP - per_iter
-        macros = self.interp.macros
-        functions = self.interp.functions
+        interp = self.interp
 
         def while_code(env: Environment) -> EvalGen:
             n = 0  # folded unit ticks not yet yielded; ``last`` ends them
@@ -1148,9 +1133,11 @@ class Compiler:
                         test = env.lookup(tp)
                     elif tk == 3:
                         head, fallback, subplans, memo = tp
-                        fn = functions.get(head)
-                        if fn.__class__ is Builtin and not fn.is_generator \
-                                and macros.get(head) is None:
+                        if memo[0] is not interp.definition_token:
+                            _resolve_inline(interp, head, memo)
+                        fn = memo[1]
+                        if fn is not None:
+                            tick = memo[2]
                             cargs: List[Any] = []
                             for k2, p2 in subplans:
                                 if k2 == 0:
@@ -1159,16 +1146,13 @@ class Compiler:
                                     n += 1
                                     last = _T_VAR
                                     cargs.append(env.lookup(p2))
-                            if memo[0] is not fn:
-                                memo[0] = fn
-                                memo[1] = Tick(fn.cost, fn.name)
                             if fn.cost == 1:
                                 n += 1
-                                last = memo[1]
+                                last = tick
                             else:  # the while tick keeps n above 0 here
                                 yield TickRun(n, last)
                                 n = 0
-                                yield memo[1]
+                                yield tick
                             test = fn.fn(*cargs)
                         else:
                             yield TickRun(n, last)
@@ -1207,9 +1191,11 @@ class Compiler:
                                 value = env.lookup(vp)
                             elif vk == 3:
                                 head, fallback, subplans, memo = vp
-                                fn = functions.get(head)
-                                if fn.__class__ is Builtin and not fn.is_generator \
-                                        and macros.get(head) is None:
+                                if memo[0] is not interp.definition_token:
+                                    _resolve_inline(interp, head, memo)
+                                fn = memo[1]
+                                if fn is not None:
+                                    tick = memo[2]
                                     cargs3: List[Any] = []
                                     for k2, p2 in subplans:
                                         if k2 == 0:
@@ -1218,17 +1204,14 @@ class Compiler:
                                             n += 1
                                             last = _T_VAR
                                             cargs3.append(env.lookup(p2))
-                                    if memo[0] is not fn:
-                                        memo[0] = fn
-                                        memo[1] = Tick(fn.cost, fn.name)
                                     if fn.cost == 1:
                                         n += 1
-                                        last = memo[1]
+                                        last = tick
                                     else:
                                         if n:
                                             yield TickRun(n, last)
                                             n = 0
-                                        yield memo[1]
+                                        yield tick
                                     value = fn.fn(*cargs3)
                                 else:
                                     if n:
@@ -1243,9 +1226,11 @@ class Compiler:
                             env.assign(name, value)
                         else:
                             head, fallback, subplans, memo = payload
-                            fn = functions.get(head)
-                            if fn.__class__ is Builtin and not fn.is_generator \
-                                    and macros.get(head) is None:
+                            if memo[0] is not interp.definition_token:
+                                _resolve_inline(interp, head, memo)
+                            fn = memo[1]
+                            if fn is not None:
+                                tick = memo[2]
                                 cargs2: List[Any] = []
                                 for k2, p2 in subplans:
                                     if k2 == 0:
@@ -1254,17 +1239,14 @@ class Compiler:
                                         n += 1
                                         last = _T_VAR
                                         cargs2.append(env.lookup(p2))
-                                if memo[0] is not fn:
-                                    memo[0] = fn
-                                    memo[1] = Tick(fn.cost, fn.name)
                                 if fn.cost == 1:
                                     n += 1
-                                    last = memo[1]
+                                    last = tick
                                 else:
                                     if n:
                                         yield TickRun(n, last)
                                         n = 0
-                                    yield memo[1]
+                                    yield tick
                                 fn.fn(*cargs2)
                             else:
                                 if n:
@@ -1286,7 +1268,7 @@ class Compiler:
         spec = list_to_pylist(args[0])
         if len(spec) not in (2, 3) or not isinstance(spec[0], Symbol):
             raise EvalError("dolist needs (var list-form [result])", form)
-        var = spec[0]
+        var = spec[0].name
         lk, lp = self._plan(spec[1])
         body_codes = [self.code_for(f) for f in args[1:]]
         result_code: Optional[Code] = self.code_for(spec[2]) if len(spec) == 3 else None

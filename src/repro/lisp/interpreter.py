@@ -30,7 +30,7 @@ from repro.lisp.effects import (
     Tick,
 )
 from repro.lisp.builtins import builtin_table
-from repro.lisp.env import Environment
+from repro.lisp.env import Environment, binding_key
 from repro.lisp.errors import (
     ArityError,
     EvalError,
@@ -80,6 +80,10 @@ class Interpreter:
         self.functions: dict[Symbol, Any] = dict(
             self.symbols.derived(builtin_table))
         self.macros: dict[Symbol, Macro] = {}
+        # Replaced by every write to ``functions`` or ``macros`` (all go
+        # through ``define``): a compiled site that resolved a head
+        # under this token may reuse that resolution until it changes.
+        self.definition_token = object()
         self.structs: dict[str, StructType] = {}
         # accessor name -> (StructType, field); filled by defstruct.
         self.struct_accessors: dict[str, tuple[StructType, str]] = {}
@@ -94,8 +98,23 @@ class Interpreter:
     def intern(self, name: str) -> Symbol:
         return self.symbols.intern(name)
 
+    def define(self, name: Symbol, value: Any) -> None:
+        """Install ``value`` as ``name``'s macro (a :class:`Macro`) or
+        function (anything else), and replace the definition token.
+
+        The one writer of ``functions`` and ``macros``: ``defun``,
+        ``defmacro``, the compiled ``defun`` and ``define_builtin`` (and
+        so ``defstruct``) all come here, so a new token marks every
+        change to either table.
+        """
+        if isinstance(value, Macro):
+            self.macros[name] = value
+        else:
+            self.functions[name] = value
+        self.definition_token = object()
+
     def define_builtin(self, builtin: Builtin) -> None:
-        self.functions[self.intern(builtin.name)] = builtin
+        self.define(self.intern(builtin.name), builtin)
 
     def lookup_function(self, name: Symbol) -> Any:
         fn = self.functions.get(name)
@@ -116,7 +135,7 @@ class Interpreter:
         # Atoms ------------------------------------------------------
         if isinstance(form, Symbol):
             yield Tick(1, "var")
-            return env.lookup(form)
+            return env.lookup(form.name)
         if not isinstance(form, Cons):
             # Self-evaluating: numbers, strings, nil, t, raw values.
             return form
@@ -192,11 +211,11 @@ class Interpreter:
             if len(args) < len(required):
                 raise ArityError(fn.name, f"at least {len(required)}", len(args))
         for name, value in zip(required, args):
-            env.define(name, value)
+            env.define(binding_key(name), value)
         if rest_sym is not None:
             from repro.sexpr.datum import lisp_list
 
-            env.define(rest_sym, lisp_list(*args[len(required) :]))
+            env.define(binding_key(rest_sym), lisp_list(*args[len(required) :]))
         return env
 
     def _expand_macro(self, macro: Macro, form: Any, env: Environment) -> EvalGen:
@@ -374,7 +393,7 @@ def _sf_let(interp: Interpreter, form: Cons, env: Environment, sequential: bool 
     bindings = list_to_pylist(args[0]) if args[0] is not None else []
     new_env = env.child()
     target_env = new_env if sequential else env
-    pairs: list[tuple[Symbol, Any]] = []
+    pairs: list[tuple[str, Any]] = []
     for binding in bindings:
         if isinstance(binding, Symbol):
             name, init = binding, None
@@ -392,9 +411,9 @@ def _sf_let(interp: Interpreter, form: Cons, env: Environment, sequential: bool 
             raise EvalError("let binding name must be a symbol", form)
         value = yield from interp.eval_gen(init, target_env)
         if sequential:
-            new_env.define(name, value)
+            new_env.define(name.name, value)
         else:
-            pairs.append((name, value))
+            pairs.append((name.name, value))
     for name, value in pairs:
         new_env.define(name, value)
     return (yield from interp.eval_sequence(args[1:], new_env))
@@ -415,7 +434,7 @@ def _sf_setq(interp: Interpreter, form: Cons, env: Environment) -> EvalGen:
             raise EvalError("setq name must be a symbol", form)
         yield Tick(1, "setq")
         value = yield from interp.eval_gen(args[i + 1], env)
-        env.assign(name, value)
+        env.assign(name.name, value)
     return value
 
 
@@ -435,7 +454,7 @@ def _setf_one(
     if isinstance(place, Symbol):
         yield Tick(1, "setf-var")
         value = yield from interp.eval_gen(value_form, env)
-        env.assign(place, value)
+        env.assign(place.name, value)
         return value
     if not (isinstance(place, Cons) and isinstance(place.car, Symbol)):
         raise SetfError(f"unsupported setf place: {place!r}")
@@ -498,7 +517,7 @@ def _sf_defun(interp: Interpreter, form: Cons, env: Environment) -> EvalGen:
     params = list_to_pylist(lambda_list) if lambda_list is not None else []
     body = _strip_declares(args[2:])
     closure = Closure(name.name, params, body, interp.globals)
-    interp.functions[name] = closure
+    interp.define(name, closure)
     interp.source_forms[name] = form
     yield Tick(1, "defun")
     return name
@@ -513,7 +532,7 @@ def _sf_defmacro(interp: Interpreter, form: Cons, env: Environment) -> EvalGen:
         raise EvalError("defmacro name must be a symbol", form)
     params = list_to_pylist(lambda_list) if lambda_list is not None else []
     closure = Closure(name.name, params, args[2:], interp.globals)
-    interp.macros[name] = Macro(name.name, closure)
+    interp.define(name, Macro(name.name, closure))
     yield Tick(1, "defmacro")
     return name
 
@@ -555,7 +574,7 @@ def _sf_dolist(interp: Interpreter, form: Cons, env: Environment) -> EvalGen:
     spec = list_to_pylist(args[0])
     if len(spec) not in (2, 3) or not isinstance(spec[0], Symbol):
         raise EvalError("dolist needs (var list-form [result])", form)
-    var = spec[0]
+    var = spec[0].name
     yield Tick(1, "dolist")
     lst = yield from interp.eval_gen(spec[1], env)
     loop_env = env.child()

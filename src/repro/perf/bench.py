@@ -191,7 +191,7 @@ def case_a10_search() -> None:
         machine = Machine(interp, processors=procs, cost_model=FREE_SYNC)
         machine.spawn_text("(setq hit (probe-cc d))")
         machine.run()
-        hit = interp.globals.lookup(interp.intern("hit"))
+        hit = interp.globals.lookup("hit")
         if hit != 150:
             raise RuntimeError(f"a10 search returned {hit!r}, expected 150")
 
@@ -225,7 +225,7 @@ def case_a12_sapp() -> None:
         interp = Interpreter()
         runner = SequentialRunner(interp)
         runner.eval_text(setup)
-        root = interp.globals.lookup(interp.intern("r"))
+        root = interp.globals.lookup("r")
         if canonicalize:
             check_sapp(root, Canonicalizer([InversePair("succ", "pred")]))
             check_sapp(root)

@@ -115,11 +115,11 @@ def run_server_pool(
     for q in qs:
         machine.register_quiesce_queue(q)
     if queues == 1:
-        interp.globals.define(interp.intern(queue_var), qs[0])
+        interp.globals.define(queue_var, qs[0])
     else:
         for k, q in enumerate(qs):
-            interp.globals.define(interp.intern(f"{queue_var}-{k}"), q)
-        interp.globals.define(interp.intern(queue_var), qs[0])
+            interp.globals.define(f"{queue_var}-{k}", q)
+        interp.globals.define(queue_var, qs[0])
 
     from repro.sexpr.datum import lisp_list
 

@@ -204,11 +204,16 @@ def _has_opaque_call(node: N.Node, analysis: FunctionAnalysis) -> bool:
 
 
 def _hoist_spawns(func: N.FuncDef, analysis: FunctionAnalysis) -> int:
-    """Move Spawn statements leftward within their Progn sequences."""
+    """Move Spawn statements leftward within their statement sequences."""
     conflict_sources = _conflicting_node_ids(analysis)
     hoists = 0
 
-    def hoist_in_sequence(body: list[N.Node]) -> list[N.Node]:
+    def hoist_in_sequence(body: list[N.Node], has_value: bool) -> list[N.Node]:
+        """``body`` with each spawn moved as far left as it may go.  A
+        spawn that leaves the value position of a sequence whose value
+        is used (not a ``while`` body) leaves ``nil`` behind: a spawn's
+        value is nil, and the statement now last must not give the
+        sequence its own."""
         nonlocal hoists
         out = list(body)
         for idx in range(len(out)):
@@ -229,60 +234,27 @@ def _hoist_spawns(func: N.FuncDef, analysis: FunctionAnalysis) -> int:
                     break  # a heap write moved into the tail needs delay/lock
                 if _has_opaque_call(prev, analysis):
                     break  # unknown side effects must not reorder
-                if id(prev.source) in conflict_sources or any(
-                    id(s.source) in conflict_sources for s in prev.walk()
-                ):
+                if any(id(s.source) in conflict_sources for s in prev.walk()):
                     break
                 target -= 1
             if target != idx:
+                if has_value and idx == len(out) - 1:
+                    out.append(N.Const(None))
                 out.insert(target, out.pop(idx))
                 hoists += 1
         return out
 
     def walk(node: N.Node) -> None:
-        if isinstance(node, N.Progn):
-            node.body = hoist_in_sequence(node.body)
-        elif isinstance(node, N.Let):
-            node.body = hoist_in_sequence(node.body)
-        elif isinstance(node, N.While):
-            node.body = hoist_in_sequence(node.body)
+        if isinstance(node, (N.Progn, N.Let, N.While)):
+            node.body = hoist_in_sequence(
+                node.body, has_value=not isinstance(node, N.While))
         for child in node.children():
             walk(child)
 
     for top in func.body:
         walk(top)
-    func.body = _hoist_top(func, analysis, func.body)
+    func.body = hoist_in_sequence(func.body, has_value=True)
     return hoists
-
-
-def _hoist_top(func: N.FuncDef, analysis: FunctionAnalysis, body: list[N.Node]) -> list[N.Node]:
-    # The top-level body is also a sequence.
-    conflict_sources = _conflicting_node_ids(analysis)
-    out = list(body)
-    for idx in range(len(out)):
-        node = out[idx]
-        if not isinstance(node, N.Spawn):
-            continue
-        args_free = set()
-        for arg in node.call.args:
-            args_free |= free_variables(arg)
-        target = idx
-        while target > 0:
-            prev = out[target - 1]
-            if isinstance(prev, (N.Spawn, N.FutureExpr)):
-                break
-            if _statement_writes(prev) & args_free:
-                break
-            if _has_heap_write(prev):
-                break
-            if _has_opaque_call(prev, analysis):
-                break
-            if any(id(s.source) in conflict_sources for s in prev.walk()):
-                break
-            target -= 1
-        if target != idx:
-            out.insert(target, out.pop(idx))
-    return out
 
 
 # ---------------------------------------------------------------------------

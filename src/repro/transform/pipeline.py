@@ -359,12 +359,15 @@ class Curare:
                 # final emission see it.
                 self.interp.source_forms[dps_func.name] = unparse_function(dps_func)
                 fresh_params = {result.dps.dest_param.name}
+                # The helper walks the same lists as the original: the
+                # original's sapp declarations cover its parameters.
                 working = analyze_function(
                     self.interp,
                     dps_func,
                     decls=self.decls,
                     assume_sapp=self.assume_sapp,
                     fresh_params=fresh_params,
+                    sapp_of=name,
                 )
             except DPSError:
                 result.dps = None  # fall back to futures

@@ -218,8 +218,8 @@ class TestEndToEndArrays:
         machine = Machine(interp, processors=4)
         machine.spawn_text("(stencil-cc b 0 9)")
         machine.run()
-        a = interp.globals.lookup(interp.intern("a"))
-        b = interp.globals.lookup(interp.intern("b"))
+        a = interp.globals.lookup("a")
+        b = interp.globals.lookup("b")
         assert a.items == b.items == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
 
     def test_random_schedules(self):
@@ -243,7 +243,7 @@ class TestEndToEndArrays:
             machine = Machine(interp, processors=3, policy="random", seed=seed)
             machine.spawn_text("(fill-back-cc v 7)")
             machine.run()
-            v = interp.globals.lookup(interp.intern("v"))
+            v = interp.globals.lookup("v")
             if expected is None:
                 expected = list(v.items)
             assert v.items == expected == [10 + i for i in range(8)]

@@ -13,6 +13,7 @@ import pytest
 from repro import api
 from repro.fleet.pool import ProcessEngine, WorkerCrash
 from repro.serve.server import engine_call
+from tests.blockers import SPIN_SRC, spins_for
 
 FIG5 = """
 (declaim (sapp f5 l))
@@ -24,9 +25,6 @@ FIG5 = """
 (setq data (list 1 2 3 4))
 """
 
-#: (spin 50000) runs for about a quarter of a second, slow enough to
-#: reliably kill/cancel mid-computation.
-SLOW_SRC = "(defun spin (n) (let ((i 0)) (while (< i n) (setq i (1+ i))) i))"
 
 
 @pytest.fixture
@@ -47,8 +45,10 @@ def engine(counts):
     pool.close()
 
 
-def slow_params(n=50000):
-    return {"source": SLOW_SRC, "expr": f"(spin {n})", "processors": 1}
+def slow_params(ms=500.0):
+    """A run long enough to kill or cancel mid-computation."""
+    return {"source": SPIN_SRC, "expr": f"(spin {spins_for(ms)})",
+            "processors": 1}
 
 
 class TestParity:
@@ -141,7 +141,7 @@ class TestCancellation:
 
         def call():
             try:
-                outcome["result"] = engine.call("run", slow_params(200000),
+                outcome["result"] = engine.call("run", slow_params(1000.0),
                                                 cancel=cancel)
             except api.ApiError as err:
                 outcome["error"] = err

@@ -22,6 +22,7 @@ from repro.fleet.router import (
 )
 from repro.serve import FleetFaultPlan, ReproServer, Request, ServeConfig
 from repro.serve.server import engine_call
+from tests.blockers import SPIN_SRC, spins_for
 
 FIG5 = """
 (declaim (sapp f5 l))
@@ -361,9 +362,8 @@ class TestSingleFlight:
         # one engine computation runs; everyone gets the same answer.
         f = Fleet(backends=2)
         try:
-            params = {"source": "(defun spin (n) (let ((i 0)) "
-                                "(while (< i n) (setq i (1+ i))) i))",
-                      "expr": "(spin 6000)", "processors": 1}
+            params = {"source": SPIN_SRC, "expr": f"(spin {spins_for(30.0)})",
+                      "processors": 1}
             barrier = threading.Barrier(4)
             replies = [None] * 4
 

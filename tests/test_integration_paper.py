@@ -157,7 +157,7 @@ class TestFigure8:
         machine = Machine(interp, processors=4)
         machine.spawn_text("(f8-cc data)")
         machine.run()
-        assert interp.globals.lookup(interp.intern("a")) == 55
+        assert interp.globals.lookup("a") == 55
 
 
 class TestFigures12and13:

@@ -158,4 +158,4 @@ class TestSetEval:
         machine = Machine(interp, processors=4)
         machine.spawn_text("(f-cc d)")
         machine.run()
-        assert interp.globals.lookup(interp.intern("total")) == 15
+        assert interp.globals.lookup("total") == 15

@@ -119,5 +119,5 @@ class TestVectorsOnMachine:
         for _ in range(5):
             m.spawn_text("(bump)")
         m.run()
-        v = interp.globals.lookup(interp.intern("v"))
+        v = interp.globals.lookup("v")
         assert v.items[0] == 5

@@ -191,7 +191,7 @@ class TestSAPP:
             (setf (dn-pred d2) d1)
             """
         )
-        d1 = interp.globals.lookup(interp.intern("d1"))
+        d1 = interp.globals.lookup("d1")
         assert not check_sapp(d1).holds
         canon = Canonicalizer([InversePair("succ", "pred")])
         assert check_sapp(d1, canon).holds
@@ -210,7 +210,7 @@ class TestSAPP:
               (setq i (1+ i)))
             """
         )
-        head = interp.globals.lookup(interp.intern("head"))
+        head = interp.globals.lookup("head")
         canon = Canonicalizer([InversePair("succ", "pred")])
         result = check_sapp(head, canon)
         assert result.holds and result.node_count == 5
@@ -231,7 +231,7 @@ class TestSAPP:
             (setq b (make-nd a shared))
             """
         )
-        b = interp.globals.lookup(interp.intern("b"))
+        b = interp.globals.lookup("b")
         assert not check_sapp(b).holds  # both fields traversed by default
         interp.structs["nd"].pointer_fields = ("next",)
         assert check_sapp(b).holds

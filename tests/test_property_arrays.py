@@ -78,7 +78,7 @@ class TestTransformedKernelEquivalence:
         r1.eval_text(src)
         r1.eval_text(f"(setq v (make-array {length} 1))")
         r1.eval_text(f"(k v 0 {bound})")
-        ref = list(i1.globals.lookup(i1.intern("v")).items)
+        ref = list(i1.globals.lookup("v").items)
 
         # Transformed on the machine.
         i2 = Interpreter()
@@ -90,5 +90,5 @@ class TestTransformedKernelEquivalence:
         machine = Machine(i2, processors=procs, policy="random", seed=seed)
         machine.spawn_text(f"(k-cc v 0 {bound})")
         machine.run()
-        got = list(i2.globals.lookup(i2.intern("v")).items)
+        got = list(i2.globals.lookup("v").items)
         assert got == ref

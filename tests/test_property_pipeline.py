@@ -337,8 +337,7 @@ class TestLastUseProtocol:
                 assert (cc.acc, cc.state) == (seq.acc, seq.state), where
                 assert sorted(map(repr, cc.outputs)) == \
                     sorted(map(repr, seq.outputs)), where
-                if shape.tail:  # CRI discards a tail call's value
-                    assert cc.value == seq.value, where
+                assert cc.value == seq.value, where
 
     @pytest.mark.parametrize("sapp", ["assume", "declared", "none"])
     def test_shapes_take_their_locks(self, sapp):

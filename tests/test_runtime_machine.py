@@ -61,7 +61,7 @@ class TestSpawning:
         m.spawn_text("(zero d)")
         stats = m.run()
         assert stats.processes == 5  # main + 4 spawns
-        assert write_str(interp.globals.lookup(interp.intern("d"))) == "(0 0 0 0)"
+        assert write_str(interp.globals.lookup("d")) == "(0 0 0 0)"
 
     def test_spawn_cost_charged(self):
         src = self.SRC + " (setq d (list 1 2 3 4))"
@@ -142,7 +142,7 @@ class TestLocksOnMachine:
         for _ in range(6):
             m.spawn_text("(bump)")
         m.run()
-        cell = interp.globals.lookup(interp.intern("cell"))
+        cell = interp.globals.lookup("cell")
         assert cell.car == 6
 
     def test_unlocked_increment_races(self):
@@ -159,7 +159,7 @@ class TestLocksOnMachine:
         for _ in range(6):
             m.spawn_text("(bump-racy)")
         m.run()
-        cell = interp.globals.lookup(interp.intern("cell"))
+        cell = interp.globals.lookup("cell")
         assert cell.car < 6  # lost updates
 
     def test_deadlock_detected(self):
@@ -182,7 +182,7 @@ class TestQueuesOnMachine:
         m.spawn_text("(produce 5)")
         consumer = m.spawn_text("(setq got (consume 0))")
         m.run()
-        assert interp.globals.lookup(interp.intern("got")) == 10
+        assert interp.globals.lookup("got") == 10
 
     def test_blocked_consumer_woken_by_put(self):
         src = "(setq q (make-queue))"
@@ -195,7 +195,7 @@ class TestQueuesOnMachine:
     def test_quiesce_queues_terminate(self):
         src = "(setq q (make-queue))"
         interp, m = fresh_machine(src, processors=1)
-        q = interp.globals.lookup(interp.intern("q"))
+        q = interp.globals.lookup("q")
         m.register_quiesce_queue(q)
         p = m.spawn_text("(dequeue! q)")
         m.run()  # no deadlock: quiescence closes the queue
@@ -229,7 +229,7 @@ class TestDeterminism:
             )
             m.spawn_text("(w d)")
             stats = m.run()
-            return stats.total_time, write_str(interp.globals.lookup(interp.intern("d")))
+            return stats.total_time, write_str(interp.globals.lookup("d"))
 
         assert one_run() == one_run()
 

@@ -41,8 +41,8 @@ class TestSnapshot:
 
     def test_structs(self, runner, interp):
         runner.eval_text("(defstruct p x) (setq a (make-p 1)) (setq b (make-p 1))")
-        a = interp.globals.lookup(interp.intern("a"))
-        b = interp.globals.lookup(interp.intern("b"))
+        a = interp.globals.lookup("a")
+        b = interp.globals.lookup("b")
         assert snapshot_structure(a) == snapshot_structure(b)
 
 

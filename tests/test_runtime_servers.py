@@ -28,7 +28,7 @@ class TestSingleSitePool:
     def test_all_invocations_processed(self):
         interp, curare = make_enqueue_fn(self.SRC, "zero")
         curare.runner.eval_text("(setq d (list 1 2 3 4 5 6 7 8))")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         result = run_server_pool(interp, "zero-cc", [d], servers=3)
         assert write_str(d) == "(0 0 0 0 0 0 0 0)"
         assert result.total_invocations == 9  # 8 cells + nil base case
@@ -36,7 +36,7 @@ class TestSingleSitePool:
     def test_work_distributed_across_servers(self):
         interp, curare = make_enqueue_fn(self.SRC, "zero")
         curare.runner.eval_text("(setq d (list 1 2 3 4 5 6 7 8 9 10 11 12))")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         result = run_server_pool(interp, "zero-cc", [d], servers=3)
         assert sum(result.per_server) == 13
         # The distance-1 chain serializes, but at least the pool ran.
@@ -45,14 +45,14 @@ class TestSingleSitePool:
     def test_one_server_is_sequential(self):
         interp, curare = make_enqueue_fn(self.SRC, "zero")
         curare.runner.eval_text("(setq d (list 1 2 3 4))")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         result = run_server_pool(interp, "zero-cc", [d], servers=1)
         assert write_str(d) == "(0 0 0 0)"
 
     def test_makespan_reported(self):
         interp, curare = make_enqueue_fn(self.SRC, "zero")
         curare.runner.eval_text("(setq d (list 1 2 3))")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         result = run_server_pool(interp, "zero-cc", [d], servers=2)
         assert result.makespan > 0
         assert result.stats.total_time == result.makespan
@@ -75,7 +75,7 @@ class TestMultiSitePool:
         curare.runner.eval_text(
             "(setq tr (cons (cons 1 (cons 2 nil)) (cons (cons 3 nil) nil)))"
         )
-        tr = interp.globals.lookup(interp.intern("tr"))
+        tr = interp.globals.lookup("tr")
         result = run_server_pool(
             interp, "scale-cc", [tr], servers=2, queues=2
         )
@@ -87,7 +87,7 @@ class TestMultiSitePool:
         # must still terminate via quiescence detection.
         interp, curare = make_enqueue_fn(self.TREE, "scale")
         curare.runner.eval_text("(setq tr (cons 1 nil))")
-        tr = interp.globals.lookup(interp.intern("tr"))
+        tr = interp.globals.lookup("tr")
         result = run_server_pool(interp, "scale-cc", [tr], servers=3, queues=2)
         assert write_str(tr) == "(2)"
 
@@ -109,7 +109,7 @@ class TestMultiSiteLinearRecursion:
         interp, curare = make_enqueue_fn(self.FIG5, "f5")
         result = curare.transform("f5", mode="enqueue", suffix="-q")
         curare.runner.eval_text("(setq d (list 1 2 3 4 5 6))")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         pool = run_server_pool(
             interp, "f5-q", [d], servers=servers,
             queues=result.cri.queue_count,
@@ -125,7 +125,7 @@ class TestMultiSiteLinearRecursion:
         interp, curare = make_enqueue_fn(self.FIG5, "f5")
         curare.transform("f5", mode="enqueue", suffix="-q")
         curare.runner.eval_text("(setq d (list 1 2))")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         with pytest.raises(ValueError):
             run_server_pool(interp, "f5-q", [d], servers=2)  # queues=1
 
@@ -151,7 +151,7 @@ class TestPoolParameters:
         for s in (1, 4):
             interp, curare = make_enqueue_fn(self.SRC, "work")
             curare.runner.eval_text("(setq d (list 1 2 3 4 5 6 7 8))")
-            d = interp.globals.lookup(interp.intern("d"))
+            d = interp.globals.lookup("d")
             result = run_server_pool(
                 interp, "work-cc", [d], servers=s,
                 cost_model=CostModel(spawn=0, context_switch=0),
@@ -162,6 +162,6 @@ class TestPoolParameters:
     def test_processors_fewer_than_servers(self):
         interp, curare = make_enqueue_fn(self.SRC, "work")
         curare.runner.eval_text("(setq d (list 1 2 3 4))")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         result = run_server_pool(interp, "work-cc", [d], servers=4, processors=2)
         assert result.total_invocations == 5

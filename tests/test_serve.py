@@ -24,6 +24,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import _Flight
+from tests.blockers import SPIN_SRC, spins_for
 
 FIG5 = """
 (declaim (sapp f5 l))
@@ -35,17 +36,16 @@ FIG5 = """
 (setq data (list 1 2 3 4))
 """
 
-#: (spin 20000) runs for about 0.1 s: long enough to hold a worker.
-SLOW_SRC = "(defun spin (n) (let ((i 0)) (while (< i n) (setq i (1+ i))) i))"
 
 
 def _run_params(expr="(progn (f5-cc data) (identity data))", **extra):
     return {"source": FIG5, "expr": expr, "transform": ["f5"], **extra}
 
 
-def _slow_params(n=20000, **extra):
-    return {"source": SLOW_SRC, "expr": f"(spin {n})", "processors": 1,
-            **extra}
+def _slow_params(ms=150.0, **extra):
+    """A run that holds a worker for about ``ms`` milliseconds."""
+    return {"source": SPIN_SRC, "expr": f"(spin {spins_for(ms)})",
+            "processors": 1, **extra}
 
 
 def _request(op, params, request_id="r", deadline_ms=None):
@@ -198,7 +198,7 @@ class TestDeadlines:
             while service.in_flight == 0:
                 time.sleep(0.005)
             expired = service.handle(_request(
-                "run", _slow_params(19999), request_id="late",
+                "run", _slow_params(140.0), request_id="late",
                 deadline_ms=10.0))
             assert expired["error"]["code"] == "deadline_exceeded"
             slow.join()
@@ -216,7 +216,7 @@ class TestDeadlines:
         service = AnalysisService(
             ServeConfig(workers=1, backlog=1, default_deadline_ms=1.0))
         try:
-            response = service.handle(_request("run", _slow_params(2000)))
+            response = service.handle(_request("run", _slow_params(10.0)))
             assert response["error"]["code"] == "deadline_exceeded"
         finally:
             service.close()

@@ -23,7 +23,7 @@ class TestDeepRecursion:
         runner.eval_text("(defun z (l) (when l (setf (car l) 0) (z (cdr l))))")
         runner.eval_text(self._list_text())
         runner.eval_text("(z d)")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         node, count = d, 0
         while node is not None:
             assert node.car == 0
@@ -40,7 +40,7 @@ class TestDeepRecursion:
         machine.spawn_text("(z-cc d)")
         stats = machine.run()
         assert stats.processes == self.DEPTH + 1
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         node = d
         while node is not None:
             assert node.car == 0
@@ -55,7 +55,7 @@ class TestDeepRecursion:
         curare.transform("z")
         curare.runner.eval_text(self._list_text())
         curare.runner.eval_text("(z-cc d)")
-        d = interp.globals.lookup(interp.intern("d"))
+        d = interp.globals.lookup("d")
         assert d.car == 0
 
 

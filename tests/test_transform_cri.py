@@ -116,6 +116,30 @@ class TestHoisting:
         text = write_str(unparse_function(result.func))
         assert text.index("setf") < text.index("spawn")
 
+    def test_hoisting_out_of_the_value_position_keeps_nil(self):
+        # The sequential function returns nil (the last invocation's
+        # when fails), and so must the transformed one: the print the
+        # spawn moves past must not become the sequence's value.
+        from repro.lisp.interpreter import Interpreter
+        from repro.lisp.runner import SequentialRunner
+        from repro.perf import eval_mode_override
+        from repro.transform.pipeline import Curare
+
+        src = "(defun f (l) (when l (print (car l)) (f (cdr l))))"
+        seq = SequentialRunner(Interpreter(), eval_mode="interpreter")
+        seq.eval_text(src)
+        assert seq.eval_text("(f (list 0))") is None
+        for eval_mode in ("interpreter", "compiled"):
+            with eval_mode_override(eval_mode):
+                curare = Curare(Interpreter(), assume_sapp=True)
+                curare.load_program(src)
+                result = curare.transform("f")
+                assert result.cri.hoisted == 1
+                text = write_str(result.final_form)
+                assert text.index("spawn") < text.index("print")
+                assert curare.runner.eval_text("(f-cc (list 0))") is None
+                assert curare.runner.eval_text("(f-cc (list 0 1 2))") is None
+
     def test_spawn_order_preserved_across_sites(self, interp, runner):
         src = """
         (defun f (tr)

@@ -162,4 +162,4 @@ class TestReorder:
         m = Machine(interp, processors=4)
         m.spawn_text("(f8cc d)")
         m.run()
-        assert interp.globals.lookup(interp.intern("acc")) == 36
+        assert interp.globals.lookup("acc") == 36

@@ -156,3 +156,57 @@ class TestRejections:
         assert result.transformed
         assert result.dps is None
         assert result.cri.future_sites >= 2
+
+
+class TestDeclaredSapp:
+    """The DPS helper walks the original's lists, so the original's
+    ``(declaim (sapp remq lst))`` covers the helper's ``lst``."""
+
+    DECL = "(declaim (sapp remq lst))"
+
+    def transformed(self, remq_src, declared):
+        from repro.lisp.interpreter import Interpreter
+        from repro.transform.pipeline import Curare
+
+        interp = Interpreter()
+        curare = Curare(interp)
+        curare.load_program((self.DECL if declared else "") + remq_src)
+        result = curare.transform("remq")
+        assert result.transformed and result.dps is not None
+        return curare, result
+
+    def test_declared_helper_takes_no_lock(self, remq_src):
+        _curare, result = self.transformed(remq_src, declared=True)
+        assert result.lock_count == 0
+        assert "runs serialized" not in result.report()
+        assert result.analysis.unknowns == []
+
+    def test_declared_runs_match_the_interpreter_without_races(self, remq_src):
+        from repro.lisp.interpreter import Interpreter
+        from repro.lisp.runner import SequentialRunner
+        from repro.runtime.machine import Machine
+        from repro.runtime.racecheck import RaceDetector
+
+        data = "(list 1 2 1 3 1 4 5 1 6)"
+        seq = SequentialRunner(Interpreter(), eval_mode="interpreter")
+        seq.eval_text(remq_src)
+        want = write_str(seq.eval_text(f"(remq 1 {data})"))
+        assert want == "(2 3 4 5 6)"
+        for schedule in (None, 11, 12, 13):
+            curare, _result = self.transformed(remq_src, declared=True)
+            races = RaceDetector()
+            policy = {} if schedule is None else {"policy": "random",
+                                                  "seed": schedule}
+            machine = Machine(curare.interp, processors=4,
+                              race_detector=races, **policy)
+            main = machine.spawn_text(f"(remq-cc 1 {data})")
+            machine.run()
+            assert write_str(main.result) == want, schedule
+            assert races.races == [], schedule
+
+    def test_undeclared_report_names_the_original(self, remq_src):
+        _curare, result = self.transformed(remq_src, declared=False)
+        report = result.report()
+        assert "(declaim (sapp remq lst))" in report
+        assert "remq-d lst" not in report
+        assert "runs serialized" in report

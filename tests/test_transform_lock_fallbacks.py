@@ -67,7 +67,7 @@ class TestWholeArrayLock:
         machine = Machine(interp, processors=4)
         machine.spawn_text("(f-cc v 0 3)")
         machine.run()
-        v = interp.globals.lookup(interp.intern("v"))
+        v = interp.globals.lookup("v")
         # Sequential reference.
         i2 = Interpreter()
         from repro.lisp.runner import SequentialRunner
@@ -79,7 +79,7 @@ class TestWholeArrayLock:
             "(setf (aref v 0) 3) (setf (aref v 1) 4) (setf (aref v 2) 5)"
         )
         r2.eval_text("(f v 0 3)")
-        ref = i2.globals.lookup(i2.intern("v"))
+        ref = i2.globals.lookup("v")
         assert v.items == ref.items
 
 

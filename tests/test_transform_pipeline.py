@@ -135,7 +135,7 @@ class TestEndToEndEquivalence:
         m = Machine(interp, processors=4)
         m.spawn_text("(tally-cc d)")
         m.run()
-        assert interp.globals.lookup(interp.intern("total")) == 21
+        assert interp.globals.lookup("total") == 21
 
     def test_enqueue_mode_with_server_pool(self, curare, fig3_src):
         from repro.runtime.servers import run_server_pool
@@ -145,7 +145,7 @@ class TestEndToEndEquivalence:
         result = curare.transform("f3", mode="enqueue")
         assert result.transformed
         curare.runner.eval_text("(setq d (list 1 2 3 4 5))")
-        d = curare.interp.globals.lookup(curare.interp.intern("d"))
+        d = curare.interp.globals.lookup("d")
         pool = run_server_pool(curare.interp, "f3-cc", [d], servers=3)
         assert pool.total_invocations == 6  # 5 cells + the nil base case
 

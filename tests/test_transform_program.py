@@ -86,8 +86,8 @@ class TestEndToEnd:
         machine = Machine(curare.interp, processors=4)
         machine.spawn_text("(process a b)")
         machine.run()
-        a = curare.interp.globals.lookup(curare.interp.intern("a"))
-        b = curare.interp.globals.lookup(curare.interp.intern("b"))
+        a = curare.interp.globals.lookup("a")
+        b = curare.interp.globals.lookup("b")
         assert write_str(a) == "(2 4 6 8)"
         assert write_str(b) == "(0 0 0)"
 

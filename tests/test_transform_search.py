@@ -116,7 +116,7 @@ class TestPipelineIntegration:
         )
         machine.spawn_text("(setq hit (find-big-cc d))")
         machine.run()
-        hit = curare.interp.globals.lookup(curare.interp.intern("hit"))
+        hit = curare.interp.globals.lookup("hit")
         assert hit in (300, 500, 700)
 
     def test_first_wins_exactly_one_store(self):
@@ -163,5 +163,5 @@ class TestPipelineIntegration:
         machine = Machine(i2, processors=6, cost_model=FREE_SYNC)
         machine.spawn_text("(setq hit (find-match-cc d))")
         stats = machine.run()
-        assert i2.globals.lookup(i2.intern("hit")) == 150
+        assert i2.globals.lookup("hit") == 150
         assert stats.total_time < seq_time / 2
