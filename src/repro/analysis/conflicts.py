@@ -34,12 +34,10 @@ from repro.lisp.values import Builtin
 from repro.paths.accessor import Accessor
 from repro.paths.transfer import (
     TransferFunction,
-    conflict_distances,
     conflict_distances_swept,
-    conflicts_at_distance_memo,
     min_conflict_distance_memo,
 )
-from repro.perf.cache import LRUCache, perf_enabled
+from repro.perf.cache import LRUCache
 from repro.sexpr.datum import Symbol
 
 #: Cap for the enumerated distances in reports (the min distance itself
@@ -502,18 +500,11 @@ def collect_memory_refs(
 
 
 def _enum_distances_memo(a1, a2, tau, direction):
-    if perf_enabled():
-        # One swept BFS answers every distance in [1, cap]; proven
-        # equivalent to the per-d enumeration by
-        # tests/test_paths_dfa.py.
-        return conflict_distances_swept(
-            a1, a2, tau, DISTANCE_ENUM_CAP, direction=direction
-        )
-    return [
-        d
-        for d in range(1, DISTANCE_ENUM_CAP + 1)
-        if conflicts_at_distance_memo(a1, a2, tau, d, direction=direction)
-    ]
+    # One swept BFS answers every distance in [1, cap]; proven
+    # equivalent to the per-d enumeration by tests/test_paths_dfa.py.
+    return conflict_distances_swept(
+        a1, a2, tau, DISTANCE_ENUM_CAP, direction=direction
+    )
 
 
 def _pair_conflicts_memo(

@@ -275,9 +275,8 @@ class RunOptions:
     race_check: bool = False
     lock_wait_timeout: Optional[int] = None
     timeline: bool = False
-    # "interpreter" | "compiled" | None (None = perf-layer default:
-    # compiled when the perf layer is enabled).  Both evaluators give
-    # identical runs; the interpreter is the reference.
+    # "interpreter" | "compiled" | None (None = compiled).  Both
+    # evaluators give identical runs; the interpreter is the reference.
     eval_mode: Optional[str] = None
 
 

@@ -38,10 +38,12 @@ Commands:
 * ``trace WORKLOAD``          — run a named paper workload with the
   flight recorder armed end to end and export the trace
   (``--trace-out``, Chrome ``trace_event`` or JSONL format).
-* ``bench``                   — run the pinned perf suite (baseline vs
-  optimized mode, median-of-N), write the enveloped report, and with
-  ``--compare BASELINE.json --max-regress PCT`` gate on regressions
-  (exit 1 when any case regresses beyond the threshold).
+* ``bench``                   — run the pinned perf suite (counted work
+  and yardstick-normalised time per case, median-of-N), write the
+  enveloped report, and with ``--compare BASELINE.json --max-regress
+  PCT`` gate on regressions (exit 1 when a count differs or a
+  normalised time regresses beyond the threshold; exit 2 when the
+  baseline was made under another Python minor version).
 * ``sweep``                   — run a parameter-sweep grid (fig06/
   fig07/fig10 families + analytic-model validation + analyze-only
   distance jobs) across ``--workers`` OS processes through the
@@ -155,9 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the occupancy sparkline and process gantt")
     p_run.add_argument("--eval-mode", choices=["interpreter", "compiled"],
                        default=None,
-                       help="Lisp evaluation strategy (default: compiled "
-                            "when the perf layer is on; both give "
-                            "identical runs)")
+                       help="Lisp evaluation strategy (default: "
+                            "compiled; both give identical runs)")
 
     p_serve = sub.add_parser(
         "serve", parents=[obs_common],
@@ -314,22 +315,17 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default: BENCH_perf.json)")
     p_bench.add_argument("--compare", metavar="BASELINE", default=None,
                          help="compare against this baseline report and "
-                              "exit 1 on regression")
+                              "exit 1 on a changed count or a regression")
     p_bench.add_argument("--max-regress", type=float, default=30.0,
                          metavar="PCT",
-                         help="allowed regression in normalized time, "
-                              "percent (default: 30)")
-    p_bench.add_argument("--min-speedup", type=float, default=None,
-                         metavar="FLOOR",
-                         help="per-case speedup floor: exit 1 if any "
-                              "case's baseline/optimized ratio falls "
-                              "below FLOOR (no baseline file needed)")
+                         help="allowed regression in yardstick-normalized "
+                              "time, percent (default: 30)")
     p_bench.add_argument("--markdown", metavar="PATH", default=None,
                          help="append a per-case markdown table to PATH "
                               "(default: $GITHUB_STEP_SUMMARY when set)")
-    p_bench.add_argument("--repeats", type=int, default=5,
-                         help="iterations per case per mode; the minimum "
-                              "is reported (default: 5)")
+    p_bench.add_argument("--repeats", type=int, default=9,
+                         help="measured iterations per case; the median "
+                              "is reported (default: 9)")
     p_bench.add_argument("--cases", metavar="NAME", action="append",
                          default=[],
                          help="restrict to these cases (repeatable)")
@@ -777,8 +773,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         BENCH_CASES,
         compare_reports,
         format_report,
-        markdown_report,
-        min_speedup_failures,
         missing_cases,
         run_suite,
     )
@@ -817,6 +811,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f";; invalid baseline {args.compare!r}: {problems[0]}",
                   file=sys.stderr)
             return 2
+        if baseline["python"].split(".")[:2] != sys.version.split(".")[:2]:
+            print(f";; baseline {args.compare!r} was made with Python "
+                  f"{baseline['python']}, this is {sys.version.split()[0]}: "
+                  "yardstick ratios differ across interpreters; run "
+                  "under the baseline's version or regenerate it",
+                  file=sys.stderr)
+            return 2
     report = run_suite(repeats=args.repeats, cases=cases)
     print(format_report(report))
     if args.out:
@@ -832,7 +833,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if summary_path:
         try:
             with open(summary_path, "a", encoding="utf-8") as handle:
-                handle.write(markdown_report(report))
+                handle.write("### Perf suite\n\n" + format_report(report)
+                             + "\n\n")
         except OSError as err:
             print(f";; cannot write markdown summary to "
                   f"{summary_path!r}: {err}", file=sys.stderr)
@@ -850,22 +852,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         failures = compare_reports(report, baseline, args.max_regress)
         if failures:
             print(";; perf regression(s) vs "
-                  f"{args.compare} (max allowed +{args.max_regress:.0f}%):")
+                  f"{args.compare} (counts must be equal, max allowed "
+                  f"+{args.max_regress:.0f}%):")
             for failure in failures:
                 print(f";;   {failure}")
             return 1
         print(f";; no perf regressions vs {args.compare} "
-              f"(max allowed +{args.max_regress:.0f}%)")
-    if args.min_speedup is not None:
-        floor_failures = min_speedup_failures(report, args.min_speedup)
-        if floor_failures:
-            print(f";; per-case speedup floor {args.min_speedup:.2f}x "
-                  "violated:")
-            for failure in floor_failures:
-                print(f";;   {failure}")
-            return 1
-        print(f";; all cases at or above the {args.min_speedup:.2f}x "
-              "speedup floor")
+              f"(counts equal, max allowed +{args.max_regress:.0f}%)")
     return 0
 
 

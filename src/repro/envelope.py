@@ -46,14 +46,10 @@ SCHEMA_VERSION = 1
 KIND_PERF = "perf-bench"
 KIND_SWEEP = "sweep"
 KIND_ROBUSTNESS = "robustness"
-KIND_SERVE = "serve-bench"
-KIND_FLEET = "fleet-bench"
 KIND_OBS = "obs-bench"
-KIND_SCALE = "scale-bench"
 KIND_CACHE = "cache-bench"
 
-KNOWN_KINDS = (KIND_PERF, KIND_SWEEP, KIND_ROBUSTNESS, KIND_SERVE,
-               KIND_FLEET, KIND_OBS, KIND_SCALE, KIND_CACHE)
+KNOWN_KINDS = (KIND_PERF, KIND_SWEEP, KIND_ROBUSTNESS, KIND_OBS, KIND_CACHE)
 
 
 class EnvelopeError(ValueError):

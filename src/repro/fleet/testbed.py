@@ -4,9 +4,8 @@ The unit and integration tests exercise the router against in-process
 backends (threads — cheap, deterministic); the *fleet* contract,
 though, is about surviving ``kill -9`` of a whole backend process, and
 that can only be rehearsed with real processes.  This module is the
-shared harness for the three places that do it — the fleet smoke test
-(``scripts/fleet_smoke.py``), the fleet benchmark
-(``benchmarks/bench_fleet.py``), and ``repro chaos --fleet``:
+shared harness for the places that do it — the fleet smoke test
+(``scripts/fleet_smoke.py``) and ``repro chaos --fleet``:
 
 * :func:`spawn_backend` — a ``repro serve`` subprocess (either
   executor), its bound address parsed from the startup banner;

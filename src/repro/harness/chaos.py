@@ -156,7 +156,12 @@ def misdeclared_workload(n: int = 6) -> ChaosWorkload:
 
 @dataclass
 class ChaosOutcome:
-    """One (workload × plan) cell of the sweep."""
+    """One (workload × plan) cell of the sweep.
+
+    A function of the cell alone: ``detail`` and ``recovery_cause`` name
+    a race's location by the order the cell's detector first saw it,
+    not by a process-global cell id.
+    """
 
     workload: str
     plan: str
@@ -296,7 +301,7 @@ def run_chaos_case(
             validation = cross_validate(detector, machine.trace)
             outcome.cross_check_agrees = validation.agree
     except RaceDetected as err:
-        failure = f"race: {err.race}"
+        failure = f"race: {detector.local_race(err.race)}"
     except MachineError as err:
         failure = f"{type(err).__name__} at t={err.clock}"
     except LispError as err:

@@ -40,31 +40,26 @@ PRELUDE = """
 (defmacro rest (l) `(cdr ,l))
 """
 
-# Re-tokenizing and re-reading the prelude text dominates Interpreter
-# construction (the a12_sapp bench case builds interpreters in a loop).
-# The parsed forms are pure data the evaluator never mutates — defmacro
-# stores only the lambda list and body, and macro expansion builds fresh
-# result cells — so one parse can serve every interpreter that shares
-# the default symbol table.
-from repro.perf.cache import LRUCache
 
-_PRELUDE_FORMS = LRUCache("lisp.prelude", maxsize=4)
+def _read_prelude(symbols: Any) -> list:
+    """The prelude's forms read against ``symbols``.
+
+    Built once per symbol table (``symbols.derived``), like the builtin
+    table: re-reading the text would dominate ``Interpreter``
+    construction.  The parsed forms are pure data the evaluator never
+    mutates — defmacro stores only the lambda list and body, and macro
+    expansion builds fresh result cells — so one parse can serve every
+    interpreter that shares the table.
+    """
+    from repro.sexpr.reader import Reader
+
+    return Reader(symbols).read_all(PRELUDE)
 
 
 def install_prelude(interp: Any) -> None:
     """Evaluate the prelude macros into ``interp``."""
-    from repro.sexpr.datum import DEFAULT_SYMBOLS
-
     # Macros: drain the definition effects directly (defmacro only ticks).
     from repro.lisp.interpreter import _drain
 
-    if interp.symbols is DEFAULT_SYMBOLS:
-        forms = _PRELUDE_FORMS.get_or_compute(
-            "prelude", lambda: interp.load(PRELUDE)
-        )
-    else:
-        # Private symbol table: its interned symbols differ, so the
-        # shared parse would leak foreign symbols into this world.
-        forms = interp.load(PRELUDE)
-    for form in forms:
+    for form in interp.symbols.derived(_read_prelude):
         _drain(interp.eval_gen(form, interp.globals))

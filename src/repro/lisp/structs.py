@@ -13,6 +13,7 @@ import itertools
 from typing import Any
 
 from repro.lisp.errors import WrongType
+from repro.sexpr.printer import write_str
 
 _instance_ids = itertools.count(1)
 
@@ -96,8 +97,7 @@ class StructInstance:
         self.slots[field] = value
 
     def __repr__(self) -> str:
-        inner = " ".join(f":{k} {v!r}" for k, v in self.slots.items())
-        return f"#S({self.struct_type.name} {inner})"
+        return write_str(self)
 
     __hash__ = object.__hash__
 

@@ -7,16 +7,16 @@ Lisp ``(cadr l)``.  The paper writes these ``cdr.car``.
 Accessors are immutable and hashable; conflict detection is string
 algebra over them.
 
-Like the path regexes, accessors are hash-consed while the perf layer
-is enabled: structurally-equal words share one canonical object, so
-the analysis memo tables key on (near) pointer identity.
+Like the path regexes, accessors are hash-consed: structurally-equal
+words share one canonical object, so the analysis memo tables key on
+(near) pointer identity.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.perf.cache import InternTable, perf_enabled
+from repro.perf.cache import InternTable
 
 _INTERN = InternTable("paths.accessor.intern")
 
@@ -29,8 +29,6 @@ class Accessor:
     def __new__(cls, fields: tuple[str, ...] = ()) -> "Accessor":
         if not isinstance(fields, tuple):
             fields = tuple(fields)
-        if not perf_enabled():
-            return super().__new__(cls)
         found = _INTERN.get(fields)
         if found is not None:
             return found

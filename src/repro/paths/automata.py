@@ -3,10 +3,9 @@
 The conflict predicate (paper §2.1) is ``A1 ≤ t1...tp·A2`` "as long as
 the prefix operation matches a string against a regular expression".
 Concretely: *is the concrete word A1 a prefix of some word in L(R)?*
-That is :func:`prefix_of_language`, implemented by NFA simulation plus a
-precomputed can-reach-accept relation.
+That is :func:`prefix_of_language`, one run over a dense minimal DFA.
 
-The perf layer adds a deterministic tier on top of the Thompson NFAs:
+A deterministic tier sits on top of the Thompson NFAs:
 
 * :func:`nfa_for` memoizes Thompson construction per (hash-consed)
   regex, so repeated conflict tests against the same transfer function
@@ -23,8 +22,10 @@ The perf layer adds a deterministic tier on top of the Thompson NFAs:
   specialized to a one-word left operand.
 
 All caches are registered in :mod:`repro.perf.cache` and report
-hit/miss counters through the obs recorder.  With the perf layer
-disabled every entry point falls back to the original NFA simulation.
+hit/miss counters through the obs recorder.  NFA simulation stays as
+the reference: the two prefix predicates run it when handed an
+``nfa`` (``build_nfa(regex)``), which is how the tests compare the
+tiers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Union
 
 from repro.paths.regex import Alt, Cat, Empty, Eps, Regex, Star, Sym, _Empty, _Eps
-from repro.perf.cache import LRUCache, perf_enabled
+from repro.perf.cache import LRUCache
 
 _NFA_CACHE = LRUCache("paths.nfa", maxsize=16384)
 _DFA_CACHE = LRUCache("paths.dfa", maxsize=8192)
@@ -538,28 +539,23 @@ def intersection_empty(r1: Union[Regex, DFA], r2: Union[Regex, DFA]) -> bool:
 
 def matches(regex: Regex, word: Iterable[str]) -> bool:
     """Exact membership: word ∈ L(regex)."""
-    if perf_enabled():
-        dense = dense_for(regex)
-        state = dense.run(word)
-        return state >= 0 and dense.accepting[state]
-    nfa = build_nfa(regex)
-    return nfa.accepts_in(nfa.run(word))
+    dense = dense_for(regex)
+    state = dense.run(word)
+    return state >= 0 and dense.accepting[state]
 
 
 def prefix_of_language(word: Iterable[str], regex: Regex, nfa: Optional[NFA] = None) -> bool:
     """The paper's ≤ test: is ``word`` a prefix of some word in L(regex)?
 
-    Equivalently: L(word·Σ*) ∩ L(regex) ≠ ∅.  On the fast path this is
-    one deterministic run over the cached minimal DFA (the product with
-    a single-word automaton degenerates to a run); the legacy path
-    simulates the NFA and consults its can-reach-accept relation.
+    Equivalently: L(word·Σ*) ∩ L(regex) ≠ ∅.  This is one deterministic
+    run over the cached minimal DFA (the product with a single-word
+    automaton degenerates to a run).  Given ``nfa``, the reference
+    simulates it instead and consults its can-reach-accept relation.
     """
-    if nfa is None and perf_enabled():
+    if nfa is None:
         dense = dense_for(regex)
         state = dense.run(word)
         return state >= 0 and dense.reach_accept[state]
-    if nfa is None:
-        nfa = build_nfa(regex)
     states = nfa.initial()
     for field in word:
         if not states:
@@ -578,9 +574,10 @@ def language_word_is_prefix_of(
 
     The dual of :func:`prefix_of_language`, needed when the *later*
     reference is the modification: the written location t·A2 must lie on
-    the earlier access's path A1, i.e. t·A2 ≤ A1.
+    the earlier access's path A1, i.e. t·A2 ≤ A1.  Given ``nfa``, the
+    reference simulates it instead of the dense DFA.
     """
-    if nfa is None and perf_enabled():
+    if nfa is None:
         dense = dense_for(regex)
         accepting = dense.accepting
         state = dense.start
@@ -599,8 +596,6 @@ def language_word_is_prefix_of(
             if accepting[state]:
                 return True
         return False
-    if nfa is None:
-        nfa = build_nfa(regex)
     states = nfa.initial()
     if nfa.accepts_in(states):
         return True
@@ -615,12 +610,8 @@ def language_word_is_prefix_of(
 
 def language_empty(regex: Regex) -> bool:
     """True iff L(regex) = ∅."""
-    if perf_enabled():
-        # A trim minimal DFA of an empty language has no accepting state.
-        return not any(dfa_for(regex).accepting)
-    nfa = build_nfa(regex)
-    reach = nfa.can_reach_accept()
-    return not any(reach[s] for s in nfa.initial())
+    # A trim minimal DFA of an empty language has no accepting state.
+    return not any(dfa_for(regex).accepting)
 
 
 def enumerate_words(regex: Regex, max_length: int, max_count: int = 10_000) -> Iterator[tuple[str, ...]]:

@@ -13,21 +13,19 @@ with ``+`` as derived form.  A small parser reads the paper's notation:
     ``ε``            the identity transfer
     ``∅``            the empty language
 
-Nodes are **hash-consed**: while the perf layer is enabled (the
-default, see :mod:`repro.perf`), constructing a node that is
-structurally equal to an existing one returns the existing object, so
-structural equality collapses to pointer equality and every downstream
-memo key (NFA/DFA caches, transfer-function powers, conflict tests)
-hashes in near-constant time.  Interning happens in ``__new__``; the
-classes stay immutable and structurally comparable either way, so code
-that predates the perf layer is unaffected when interning is off.
+Nodes are **hash-consed**: constructing a node that is structurally
+equal to an existing one returns the existing object, so structural
+equality collapses to pointer equality and every downstream memo key
+(NFA/DFA caches, transfer-function powers, conflict tests) hashes in
+near-constant time.  Interning happens in ``__new__``; the classes
+stay immutable and structurally comparable.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.perf.cache import InternTable, perf_enabled
+from repro.perf.cache import InternTable
 
 # Hash-cons table for all regex nodes.  Keys embed child nodes, whose
 # (cached) structural hash/eq make lookups cheap; once children are
@@ -110,8 +108,6 @@ class Sym(Regex):
     def __new__(cls, field: str) -> "Sym":
         if not field:
             raise ValueError("empty field name")
-        if not perf_enabled():
-            return super().__new__(cls)
         key = ("sym", field)
         found = _INTERN.get(key)
         if found is not None:
@@ -143,8 +139,6 @@ class Cat(Regex):
     __slots__ = ("left", "right", "_hash")
 
     def __new__(cls, left: Regex, right: Regex) -> "Cat":
-        if not perf_enabled():
-            return super().__new__(cls)
         key = ("cat", left, right)
         found = _INTERN.get(key)
         if found is not None:
@@ -176,8 +170,6 @@ class Alt(Regex):
     __slots__ = ("left", "right", "_hash")
 
     def __new__(cls, left: Regex, right: Regex) -> "Alt":
-        if not perf_enabled():
-            return super().__new__(cls)
         key = ("alt", left, right)
         found = _INTERN.get(key)
         if found is not None:
@@ -209,8 +201,6 @@ class Star(Regex):
     __slots__ = ("inner", "_hash")
 
     def __new__(cls, inner: Regex) -> "Star":
-        if not perf_enabled():
-            return super().__new__(cls)
         key = ("star", inner)
         found = _INTERN.get(key)
         if found is not None:

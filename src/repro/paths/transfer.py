@@ -30,16 +30,13 @@ from repro.perf.cache import LRUCache
 # visits; with hash-consed regexes the memo keys are near-pointers.
 _POWER_CACHE = LRUCache("paths.power", maxsize=16384)
 
-# The top-level conflict predicates were memoized before the perf layer
-# existed (as functools.lru_cache tables); they stay always-on so the
-# bench baseline reproduces the pre-layer analyzer, but now they count
-# hits/misses like every other cache.
-_CONFLICT_CACHE = LRUCache("paths.conflict", maxsize=65536, always_on=True)
-_MINDIST_CACHE = LRUCache("paths.mindist", maxsize=65536, always_on=True)
+# The top-level conflict predicates: accessor words repeat heavily
+# across a function's reference pairs.
+_CONFLICT_CACHE = LRUCache("paths.conflict", maxsize=65536)
+_MINDIST_CACHE = LRUCache("paths.mindist", maxsize=65536)
 
 # One swept BFS answers the whole d ∈ [1, max_d] enumeration, replacing
-# max_d separate automaton tests; new with the perf layer, so not
-# always-on.
+# max_d separate automaton tests.
 _SWEEP_CACHE = LRUCache("paths.sweep", maxsize=65536)
 
 # The one-step relation depends only on (A1, τ) — not on A2 — yet every

@@ -14,10 +14,13 @@ Three coordinated optimizations live behind this package:
    multi-tick batches while reproducing the per-tick stepper's effect
    traces and statistics byte-for-byte.
 
-The whole layer is toggleable: :func:`set_perf_enabled` switches the
-caches off and flips the default machine stepper back to the legacy
-per-tick loop, which is how ``repro bench`` measures its pre-layer
-baseline inside a single process.  See ``docs/performance.md``.
+There is one code path: the caches and interning are always on, a
+Machine steps with the heap stepper and evaluates compiled code.  The
+reference implementations (the per-tick stepper, the interpreter, NFA
+simulation) are reached only by asking for them explicitly, as the
+differential tests do.  ``repro bench`` (:mod:`repro.perf.bench`)
+gates on counted work and yardstick-normalised time.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,7 @@ from repro.perf.cache import (
     cache_stats,
     clear_caches,
     named_caches,
-    perf_disabled,
-    perf_enabled,
     publish_cache_stats,
-    set_perf_enabled,
 )
 
 __all__ = [
@@ -45,10 +45,7 @@ __all__ = [
     "cache_stats",
     "clear_caches",
     "named_caches",
-    "perf_disabled",
-    "perf_enabled",
     "publish_cache_stats",
-    "set_perf_enabled",
     "default_stepper",
     "stepper_override",
     "default_eval_mode",
@@ -63,24 +60,17 @@ _STEPPER_OVERRIDE: "str | None" = None
 
 
 def default_stepper() -> str:
-    """Resolve the stepper a Machine uses when none is requested.
-
-    Honors an active :func:`stepper_override`, then the global perf
-    switch (disabled ⇒ the legacy ``"ticker"`` loop, matching the
-    pre-layer runtime exactly).
-    """
-    if _STEPPER_OVERRIDE is not None:
-        return _STEPPER_OVERRIDE
-    return "heap" if perf_enabled() else "ticker"
+    """The stepper a Machine uses when none is requested: an active
+    :func:`stepper_override`, else ``"heap"``."""
+    return _STEPPER_OVERRIDE or "heap"
 
 
 @contextmanager
 def stepper_override(name: str) -> Iterator[None]:
     """Force the default Machine stepper within a block.
 
-    Used by the differential tests and the bench harness to run the
-    same workload under both steppers without threading a parameter
-    through every harness layer.
+    Used by the differential tests to run the same workload under both
+    steppers without threading a parameter through every harness layer.
     """
     if name not in ("heap", "ticker"):
         raise ValueError(f"unknown stepper {name!r}")
@@ -105,15 +95,9 @@ _EVAL_MODE_OVERRIDE: "str | None" = None
 
 
 def default_eval_mode() -> str:
-    """Resolve the evaluation mode drivers use when none is requested.
-
-    Honors an active :func:`eval_mode_override`, then the global perf
-    switch (disabled ⇒ the reference interpreter, matching the
-    pre-layer evaluator exactly).
-    """
-    if _EVAL_MODE_OVERRIDE is not None:
-        return _EVAL_MODE_OVERRIDE
-    return "compiled" if perf_enabled() else "interpreter"
+    """The evaluation mode drivers use when none is requested: an
+    active :func:`eval_mode_override`, else ``"compiled"``."""
+    return _EVAL_MODE_OVERRIDE or "compiled"
 
 
 @contextmanager

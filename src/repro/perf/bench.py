@@ -1,6 +1,6 @@
 """The pinned performance suite behind ``repro bench``.
 
-Five cases cover the hot paths the perf layer touches:
+Five cases cover the hot paths of the engine:
 
 * ``pipeline`` — end-to-end Curare (load → analyze → transform) over a
   corpus of paper workloads plus reference-dense list walkers.  This is
@@ -17,51 +17,44 @@ Five cases cover the hot paths the perf layer touches:
 Methodology
 -----------
 
-Every case runs in two modes **in the same process**:
+Each case is compared with a committed report (``BENCH_perf.json``) on
+two things:
 
-* *baseline* — :func:`~repro.perf.perf_disabled` plus the ticker
-  stepper: the pre-layer analyzer and machine (``always_on`` memo
-  tables stay active because they predate the layer).
-* *optimized* — the defaults: caches + interning on, heap stepper.
+* **Counted work**, exactly.  The counters the engine's flight recorder
+  emits for the case (``machine.*``, ``pipeline.*``, ``harness.runs``)
+  plus each cache's hits and misses in one cold iteration
+  (``perf.cache.<name>.hits``/``.misses``).  The work is deterministic,
+  so every measured iteration must give the same counts or
+  :func:`_measure` raises.  A change that does more or less work moves
+  a count, with no noise.
+* **Normalised time**, bounded by ``--max-regress``.  Each iteration's
+  wall time is divided by the mean of two readings of a fixed
+  pure-Python yardstick (:mod:`repro.perf.yardstick`), one taken just
+  before the iteration and one just after, and the report keeps the
+  median over the iterations.  A host that slows down slows both
+  halves of the ratio; reading the yardstick beside every iteration,
+  not once per run, is what keeps the ratio steady when the host's
+  speed drifts within a run.  Yardstick ratios differ between Python
+  versions, so a report is only compared under the ``major.minor``
+  version it was made with.
 
-Both modes call :func:`~repro.perf.clear_caches` at every measured
-iteration boundary, so each measured iteration is a cold start and the
-comparison is cache-architecture versus cache-architecture, not warm
-versus cold.  That claim is *enforced*, not assumed: after each clear
-the harness asserts every LRU cache is empty, and per-iteration
-hit/miss counter deltas are compared between the first and last
-iteration — identical deltas mean iteration N started from the same
-cache state as iteration 1, so process-global warmth cannot skew the
-baseline-vs-optimized ratio.  (Intern tables are exempt by design:
-interned objects are immortal, and the warm-up pass populates them
-before any measured iteration.)  Reported times are the *minimum* of
-``repeats`` iterations — the ``timeit`` convention: the minimum is the
-least-noise estimate of the code's intrinsic cost, because scheduler
-preemption and host contention only ever add time.  Both modes use the
-same aggregator, so the ratio stays an apples-to-apples comparison.
-
-The report is JSON (``BENCH_perf.json``).  Regression gating compares
-*normalized* time — ``optimized_ms / baseline_ms`` measured within one
-run — which is stable across machines of different absolute speed; see
-:func:`compare_reports`.
+Every measured iteration is a cold start: :func:`~repro.perf.clear_caches`
+runs before it, so the counts do not depend on suite order.  Intern
+tables are exempt by design (interned objects are immortal); the
+warm-up run fills them before any measured iteration.
 """
 
 from __future__ import annotations
 
 import gc
+import statistics
 import sys
 import time
 from typing import Any, Callable, Dict, Iterable, Optional
 
-from repro.perf import (
-    cache_stats,
-    clear_caches,
-    perf_disabled,
-    stepper_override,
-)
-
-#: The acceptance gate is the combined speedup over these cases.
-GATE_CASES = ("pipeline", "fig10_replay")
+from repro.obs.recorder import Recorder
+from repro.perf import cache_stats, clear_caches
+from repro.perf.yardstick import reading
 
 _A10_SRC = """
 (declaim (any-result probe) (pure slow-test))
@@ -148,12 +141,12 @@ def _pipeline_corpus() -> list[tuple[str, str]]:
     return corpus
 
 
-def case_pipeline() -> None:
+def case_pipeline(recorder: Recorder) -> None:
     from repro.lisp.interpreter import Interpreter
     from repro.transform.pipeline import Curare
 
     interp = Interpreter()
-    curare = Curare(interp, assume_sapp=True)
+    curare = Curare(interp, assume_sapp=True, recorder=recorder)
     corpus = _pipeline_corpus()
     for program, _ in corpus:
         curare.load_program(program)
@@ -161,22 +154,21 @@ def case_pipeline() -> None:
         curare.transform(fname)
 
 
-def _replay(name: str) -> None:
-    from repro.obs.recorder import Recorder
+def _replay(name: str, recorder: Recorder) -> None:
     from repro.obs.workloads import run_trace_workload, trace_workloads
 
-    run_trace_workload(trace_workloads()[name], Recorder())
+    run_trace_workload(trace_workloads()[name], recorder)
 
 
-def case_fig07_replay() -> None:
-    _replay("fig07")
+def case_fig07_replay(recorder: Recorder) -> None:
+    _replay("fig07", recorder)
 
 
-def case_fig10_replay() -> None:
-    _replay("fig10")
+def case_fig10_replay(recorder: Recorder) -> None:
+    _replay("fig10", recorder)
 
 
-def case_a10_search() -> None:
+def case_a10_search(recorder: Recorder) -> None:
     from repro.lisp.interpreter import Interpreter
     from repro.runtime.clock import FREE_SYNC
     from repro.runtime.machine import Machine
@@ -184,11 +176,12 @@ def case_a10_search() -> None:
 
     for procs in (1, 4):
         interp = Interpreter()
-        curare = Curare(interp, assume_sapp=True)
+        curare = Curare(interp, assume_sapp=True, recorder=recorder)
         curare.load_program(_A10_SRC)
         curare.transform("probe")
         curare.runner.eval_text(_A10_MISS_HEAVY)
-        machine = Machine(interp, processors=procs, cost_model=FREE_SYNC)
+        machine = Machine(interp, processors=procs, cost_model=FREE_SYNC,
+                          recorder=recorder)
         machine.spawn_text("(setq hit (probe-cc d))")
         machine.run()
         hit = interp.globals.lookup("hit")
@@ -215,7 +208,9 @@ _A12_SHAPES = [
 ]
 
 
-def case_a12_sapp() -> None:
+def case_a12_sapp(recorder: Recorder) -> None:
+    """No recorder hooks on this path: its counted work is the cache
+    traffic."""
     from repro.lisp.interpreter import Interpreter
     from repro.lisp.runner import SequentialRunner
     from repro.paths.canonical import Canonicalizer, InversePair
@@ -234,7 +229,7 @@ def case_a12_sapp() -> None:
 
 
 #: name -> (description, callable).  Order is report order.
-BENCH_CASES: Dict[str, tuple[str, Callable[[], None]]] = {
+BENCH_CASES: Dict[str, tuple[str, Callable[[Recorder], None]]] = {
     "pipeline": (
         "end-to-end Curare over the workload corpus (one interpreter)",
         case_pipeline,
@@ -258,88 +253,88 @@ BENCH_CASES: Dict[str, tuple[str, Callable[[], None]]] = {
 }
 
 
-def _assert_cold() -> None:
-    """Every LRU cache must be empty at an iteration boundary."""
-    dirty = [
-        name
-        for name, stats in cache_stats().items()
-        if "maxsize" in stats and stats["size"]  # LRU caches only
-    ]
-    if dirty:
-        raise RuntimeError(
-            f"caches not cold at iteration start: {', '.join(sorted(dirty))}"
-        )
 
 
-def _counter_snapshot() -> Dict[str, tuple]:
+def _cache_counts() -> Dict[str, int]:
     return {
-        name: (stats["hits"], stats["misses"], stats.get("bypasses", 0))
+        f"perf.cache.{name}.{field}": stats[field]
         for name, stats in cache_stats().items()
+        for field in ("hits", "misses")
     }
 
 
-def _iteration_delta(
-    before: Dict[str, tuple], after: Dict[str, tuple]
-) -> Dict[str, tuple]:
-    return {
-        name: tuple(b - a for b, a in zip(now, before.get(name, (0,) * 3)))
-        for name, now in after.items()
-    }
+def _measure(fn: Callable[[Recorder], None], repeats: int) -> Dict[str, Any]:
+    """Median ``ms``, ``yardstick_ms`` and ``normalized`` time and the
+    ``counts`` of ``repeats`` cold-start iterations.
 
-
-def _measure(fn: Callable[[], None], repeats: int) -> float:
-    """Minimum wall time of ``repeats`` cold-start iterations, in ms.
-
-    Enforces the cold-start claim at every measured-iteration boundary:
-    the caches are cleared *and verified empty* before each iteration,
-    and the per-iteration cache-counter deltas of the first and last
-    iteration must match exactly — a deterministic workload starting
-    from identical cache state produces identical hit/miss/bypass
-    profiles, so any mismatch means warmth leaked across iterations.
+    Raises when two iterations count different work: the case is
+    deterministic, so a difference means state leaked from one
+    iteration into the next.
     """
-    times = []
-    deltas = []
+    times: list[float] = []
+    yardsticks: list[float] = []
+    normalised: list[float] = []
+    counts: Optional[Dict[str, int]] = None
     gc_was_enabled = gc.isenabled()
     for _ in range(repeats):
         clear_caches()
-        _assert_cold()
-        before = _counter_snapshot()
+        recorder = Recorder()
+        before = _cache_counts()
         # Collect outside the timed region and keep the collector off
-        # inside it: cycle-collection pauses land on random iterations
-        # and would skew the baseline/optimized ratio by luck of the
-        # draw.  Applied identically to both modes.
+        # inside it: cycle-collection pauses land on random iterations.
         gc.collect()
         gc.disable()
         try:
+            ahead = reading()
             start = time.perf_counter()
-            fn()
-            times.append((time.perf_counter() - start) * 1000.0)
+            fn(recorder)
+            took = time.perf_counter() - start
+            behind = reading()
         finally:
             if gc_was_enabled:
                 gc.enable()
-        deltas.append(_iteration_delta(before, _counter_snapshot()))
-    if deltas[0] != deltas[-1]:
-        drifted = sorted(
-            name
-            for name in set(deltas[0]) | set(deltas[-1])
-            if deltas[0].get(name) != deltas[-1].get(name)
-        )
-        raise RuntimeError(
-            "cache state leaked across measured iterations "
-            f"(first vs last hit/miss/bypass deltas differ): "
-            f"{', '.join(drifted)}"
-        )
-    return min(times)
+        work = {
+            name: value
+            for name, value in recorder.metrics.counter_values().items()
+            if value and not name.startswith("perf.cache.")
+        }
+        for name, value in _cache_counts().items():
+            if value != before.get(name, 0):
+                work[name] = value - before.get(name, 0)
+        work = dict(sorted(work.items()))
+        if counts is None:
+            counts = work
+        elif work != counts:
+            drifted = sorted(
+                name for name in counts.keys() | work.keys()
+                if counts.get(name) != work.get(name)
+            )
+            raise RuntimeError(
+                "counted work differs between measured iterations: "
+                + ", ".join(drifted)
+            )
+        stick = (ahead + behind) / 2.0
+        times.append(took * 1000.0)
+        yardsticks.append(stick * 1000.0)
+        normalised.append(took / stick)
+    return {
+        "ms": round(statistics.median(times), 3),
+        "yardstick_ms": round(statistics.median(yardsticks), 3),
+        "normalized": round(statistics.median(normalised), 4),
+        "counts": counts,
+    }
 
 
 def run_suite(
-    repeats: int = 5, cases: Optional[Iterable[str]] = None
+    repeats: int = 9, cases: Optional[Iterable[str]] = None
 ) -> Dict[str, Any]:
-    """Run the suite in both modes and return the report dict."""
+    """Run the suite and return the report dict."""
     selected = list(cases) if cases is not None else list(BENCH_CASES)
     unknown = [name for name in selected if name not in BENCH_CASES]
     if unknown:
         raise ValueError(f"unknown bench case(s): {', '.join(unknown)}")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
 
     # The envelope (schema_version / kind / body) is added by writers:
     # this is the body of a "perf-bench" report (see repro.envelope).
@@ -348,58 +343,11 @@ def run_suite(
         "python": sys.version.split()[0],
         "cases": {},
     }
-
-    hit_counters: Dict[str, Dict[str, Any]] = {}
     for name in selected:
         description, fn = BENCH_CASES[name]
-        fn()  # warm up code paths (imports, bytecode) outside timing
-        before = cache_stats()
-        optimized_ms = _measure(fn, repeats)
-        after = cache_stats()
-        with perf_disabled(), stepper_override("ticker"):
-            baseline_ms = _measure(fn, repeats)
-        report["cases"][name] = {
-            "description": description,
-            "baseline_ms": round(baseline_ms, 3),
-            "optimized_ms": round(optimized_ms, 3),
-            "speedup": round(baseline_ms / optimized_ms, 3),
-            "normalized": round(optimized_ms / baseline_ms, 4),
-            # _measure raises if any iteration starts warm or the
-            # first/last iteration cache profiles diverge.
-            "cold_start_verified": True,
-        }
-        for cache, stats in after.items():
-            prior = before.get(cache, {})
-            hits = stats["hits"] - prior.get("hits", 0)
-            misses = stats["misses"] - prior.get("misses", 0)
-            entry = hit_counters.setdefault(cache, {"hits": 0, "misses": 0})
-            entry["hits"] += hits
-            entry["misses"] += misses
-
-    report["cache_hit_rates"] = {
-        cache: {
-            "hits": entry["hits"],
-            "misses": entry["misses"],
-            "hit_rate": round(
-                entry["hits"] / (entry["hits"] + entry["misses"]), 4
-            )
-            if entry["hits"] + entry["misses"]
-            else 0.0,
-        }
-        for cache, entry in sorted(hit_counters.items())
-        if entry["hits"] + entry["misses"]
-    }
-
-    gate = [n for n in GATE_CASES if n in report["cases"]]
-    if gate:
-        base_total = sum(report["cases"][n]["baseline_ms"] for n in gate)
-        opt_total = sum(report["cases"][n]["optimized_ms"] for n in gate)
-        report["combined"] = {
-            "cases": gate,
-            "baseline_ms": round(base_total, 3),
-            "optimized_ms": round(opt_total, 3),
-            "speedup": round(base_total / opt_total, 3),
-        }
+        fn(Recorder())  # warm up imports, bytecode and intern tables
+        report["cases"][name] = {"description": description,
+                                 **_measure(fn, repeats)}
     return report
 
 
@@ -417,18 +365,26 @@ def validate_report(obj: Any) -> list[str]:
     if not isinstance(cases, dict) or not cases:
         return ["missing or empty 'cases' object"]
     problems: list[str] = []
+    if not isinstance(obj.get("python"), str):
+        problems.append("missing 'python' version string")
     for name, case in cases.items():
         if not isinstance(case, dict):
             problems.append(f"cases[{name!r}] is not an object")
             continue
-        for fieldname in ("baseline_ms", "optimized_ms"):
-            value = case.get(fieldname)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or value <= 0:
-                problems.append(
-                    f"cases[{name!r}].{fieldname} missing or not a "
-                    "positive number"
-                )
+        norm = case.get("normalized")
+        if not isinstance(norm, (int, float)) or isinstance(norm, bool) \
+                or norm <= 0:
+            problems.append(
+                f"cases[{name!r}].normalized missing or not a positive number"
+            )
+        counts = case.get("counts")
+        if not isinstance(counts, dict) or not all(
+            isinstance(value, int) and not isinstance(value, bool)
+            for value in counts.values()
+        ):
+            problems.append(
+                f"cases[{name!r}].counts missing or not an object of integers"
+            )
     return problems
 
 
@@ -439,10 +395,9 @@ def compare_reports(
 ) -> list[str]:
     """Regression check; returns failure messages (empty = pass).
 
-    Comparison is on *normalized* time (``optimized_ms / baseline_ms``
-    within each run) so a faster or slower CI machine does not shift
-    the verdict: only the optimized path regressing relative to the
-    same-process baseline trips the gate.
+    Every count of every baseline case must match exactly, and the
+    normalised time may exceed the baseline's by at most
+    ``max_regress_pct`` percent.
     """
     failures: list[str] = []
     allowed = 1.0 + max_regress_pct / 100.0
@@ -451,8 +406,17 @@ def compare_reports(
         if current_case is None:
             failures.append(f"{name}: case missing from current report")
             continue
-        base_norm = base_case["optimized_ms"] / base_case["baseline_ms"]
-        cur_norm = current_case["optimized_ms"] / current_case["baseline_ms"]
+        base_counts = base_case["counts"]
+        cur_counts = current_case["counts"]
+        for counter in sorted(base_counts.keys() | cur_counts.keys()):
+            was = base_counts.get(counter, 0)
+            now = cur_counts.get(counter, 0)
+            if now != was:
+                failures.append(
+                    f"{name}: {counter} counted {now}, baseline {was}"
+                )
+        base_norm = base_case["normalized"]
+        cur_norm = current_case["normalized"]
         if cur_norm > base_norm * allowed:
             regress = (cur_norm / base_norm - 1.0) * 100.0
             failures.append(
@@ -479,82 +443,17 @@ def missing_cases(
     ]
 
 
-def min_speedup_failures(
-    report: Dict[str, Any], floor: float
-) -> list[str]:
-    """Per-case speedup-floor check; returns failure messages.
-
-    Unlike :func:`compare_reports` this needs no baseline file: every
-    case's in-run speedup (``baseline_ms / optimized_ms``) must be at
-    least ``floor``.  The CI gate runs it with ``--min-speedup 1.0`` so
-    the optimized layer can never silently regress below the reference
-    interpreter on any case.
-    """
-    failures: list[str] = []
-    for name, case in report.get("cases", {}).items():
-        speedup = case["baseline_ms"] / case["optimized_ms"]
-        if speedup < floor:
-            failures.append(
-                f"{name}: speedup {speedup:.3f}x below floor {floor:.2f}x "
-                f"({case['optimized_ms']:.1f}ms optimized vs "
-                f"{case['baseline_ms']:.1f}ms baseline)"
-            )
-    return failures
-
-
-def markdown_report(report: Dict[str, Any]) -> str:
-    """Per-case results as a GitHub-flavored markdown table.
-
-    Written to ``$GITHUB_STEP_SUMMARY`` by the CI perf job so the
-    numbers appear on the workflow run page without digging into logs.
-    """
-    lines = [
-        "### Perf suite",
-        "",
-        "| case | baseline (ms) | optimized (ms) | speedup |",
-        "| --- | ---: | ---: | ---: |",
-    ]
-    for name, case in report["cases"].items():
-        lines.append(
-            f"| `{name}` | {case['baseline_ms']:.1f} "
-            f"| {case['optimized_ms']:.1f} | {case['speedup']:.2f}x |"
-        )
-    combined = report.get("combined")
-    if combined:
-        lines.append(
-            f"| **combined ({'+'.join(combined['cases'])})** "
-            f"| {combined['baseline_ms']:.1f} "
-            f"| {combined['optimized_ms']:.1f} "
-            f"| **{combined['speedup']:.2f}x** |"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
 def format_report(report: Dict[str, Any]) -> str:
-    """Human-readable summary of a report dict."""
+    """Per-case results as a GitHub-flavored markdown table: printed by
+    ``repro bench`` and written to ``$GITHUB_STEP_SUMMARY`` by the CI
+    perf job.  The counts themselves are in the JSON report."""
     lines = [
-        f"{'case':<14} {'baseline':>10} {'optimized':>10} {'speedup':>8}"
+        "| case | ms | yardstick (ms) | normalized | counters |",
+        "| --- | ---: | ---: | ---: | ---: |",
     ]
     for name, case in report["cases"].items():
         lines.append(
-            f"{name:<14} {case['baseline_ms']:>8.1f}ms "
-            f"{case['optimized_ms']:>8.1f}ms {case['speedup']:>7.2f}x"
+            f"| `{name}` | {case['ms']:.1f} | {case['yardstick_ms']:.2f} "
+            f"| {case['normalized']:.3f} | {len(case['counts'])} |"
         )
-    combined = report.get("combined")
-    if combined:
-        lines.append(
-            f"{'combined(' + '+'.join(combined['cases']) + ')':<14} "
-            f"{combined['baseline_ms']:>8.1f}ms "
-            f"{combined['optimized_ms']:>8.1f}ms "
-            f"{combined['speedup']:>7.2f}x"
-        )
-    rates = report.get("cache_hit_rates", {})
-    if rates:
-        lines.append("cache hit rates (optimized runs):")
-        for cache, entry in rates.items():
-            lines.append(
-                f"  {cache:<24} {entry['hit_rate']:>6.1%} "
-                f"({entry['hits']} hits / {entry['misses']} misses)"
-            )
     return "\n".join(lines)

@@ -18,12 +18,10 @@ This module is the substrate for that layer:
   pointer-equal).  Interned objects are immortal by design; the tables
   only hold the small alphabet of shapes a program's declarations can
   generate.
-* A process-wide enable switch.  ``set_perf_enabled(False)`` (or the
-  :func:`perf_disabled` context manager) bypasses every cache that was
-  *introduced by the perf layer* while leaving ``always_on`` caches —
-  the memo tables that predate this layer — active.  The benchmark
-  harness uses this to measure an honest pre-optimization baseline in
-  the same process.
+
+Every cache and intern table is always on.  The NFA simulation that
+the DFA tier replaced stays reachable for the tests that compare
+against it, by passing ``nfa=build_nfa(r)``.
 
 Everything here is deliberately dependency-free: plain dicts with LRU
 ordering via ``dict`` move-to-end semantics, no threads, no clocks.
@@ -32,8 +30,7 @@ ordering via ``dict`` move-to-end semantics, no threads, no clocks.
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Optional
 
 __all__ = [
     "LRUCache",
@@ -42,9 +39,6 @@ __all__ = [
     "named_caches",
     "cache_stats",
     "clear_caches",
-    "perf_enabled",
-    "set_perf_enabled",
-    "perf_disabled",
     "mark_cache_baseline",
     "publish_cache_stats",
 ]
@@ -53,36 +47,7 @@ __all__ = [
 # hierarchical ("paths.nfa", "paths.conflict", …) and must be unique.
 _REGISTRY: "Dict[str, LRUCache | InternTable | EventCounter]" = {}
 
-_ENABLED = True
-
 _MISSING = object()
-
-
-def perf_enabled() -> bool:
-    """True when the toggleable perf caches are active (the default)."""
-    return _ENABLED
-
-
-def set_perf_enabled(flag: bool) -> None:
-    """Globally enable/disable the perf-layer caches and interning.
-
-    ``always_on`` caches (memoization that existed before the perf
-    layer) are unaffected, so disabling reproduces the pre-layer
-    behaviour rather than something slower than it.
-    """
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-@contextmanager
-def perf_disabled() -> Iterator[None]:
-    """Context manager: run a block with the perf caches bypassed."""
-    previous = _ENABLED
-    set_perf_enabled(False)
-    try:
-        yield
-    finally:
-        set_perf_enabled(previous)
 
 
 def _register(entry: "LRUCache | InternTable | EventCounter") -> None:
@@ -97,25 +62,18 @@ class LRUCache:
 
     Keys must be hashable; values are arbitrary.  Eviction is
     least-recently-used, implemented with ordered-``dict`` move-to-end.
-    When the global perf switch is off (and the cache is not marked
-    ``always_on``) lookups bypass the table entirely and are counted as
-    ``bypasses`` — they do not pollute the hit/miss ratio.
     """
 
-    __slots__ = ("name", "maxsize", "always_on", "hits", "misses",
-                 "evictions", "bypasses", "_data")
+    __slots__ = ("name", "maxsize", "hits", "misses", "evictions", "_data")
 
-    def __init__(self, name: str, maxsize: int = 65536,
-                 always_on: bool = False):
+    def __init__(self, name: str, maxsize: int = 65536):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
         self.name = name
         self.maxsize = maxsize
-        self.always_on = always_on
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.bypasses = 0
         self._data: Dict[Any, Any] = {}
         _register(self)
 
@@ -123,9 +81,6 @@ class LRUCache:
         return len(self._data)
 
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
-        if not (_ENABLED or self.always_on):
-            self.bypasses += 1
-            return compute()
         data = self._data
         value = data.get(key, _MISSING)
         if value is not _MISSING:
@@ -155,7 +110,6 @@ class LRUCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "bypasses": self.bypasses,
             "size": len(self._data),
             "maxsize": self.maxsize,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,

@@ -39,7 +39,7 @@ question "was this pair ordered by anything at all?".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.lisp.errors import LispError
@@ -205,6 +205,16 @@ class RaceDetector:
         state.reads = {}
 
     # -- reporting ---------------------------------------------------------
+
+    def local_race(self, race: Race) -> Race:
+        """``race`` with its location's cell id, a process-global
+        counter, replaced by the order in which this detector first saw
+        that cell (1, 2, ...): the same text whatever else ran earlier
+        in the process."""
+        ordinals: dict[Any, int] = {}
+        for loc in self._locs:
+            ordinals.setdefault(loc[0], len(ordinals) + 1)
+        return replace(race, loc=(ordinals[race.loc[0]],) + race.loc[1:])
 
     @property
     def race_count(self) -> int:

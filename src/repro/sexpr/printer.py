@@ -57,7 +57,7 @@ def _atom_str(obj: Any) -> str:
         return repr(obj)
     if isinstance(obj, int):
         return str(obj)
-    # Structures, closures, futures, etc. print via their own repr.
+    # Closures, futures, etc. print via their own repr.
     return repr(obj)
 
 
@@ -76,6 +76,9 @@ def write_str(obj: Any, max_depth: int = 200, max_length: int = 10_000,
 #: Key set in a ``_write`` text record when a guard fired.
 _GUARDED = None
 
+#: What ``_atom_str`` prints itself; anything else may be a structure.
+_ATOMS = (Symbol, str, int, float, type(None))
+
 
 def _write(obj: Any, depth: int, length: int, on_path: set[int],
            names: Names, texts: Optional[dict]) -> str:
@@ -88,11 +91,22 @@ def _write(obj: Any, depth: int, length: int, on_path: set[int],
         if not isinstance(obj, Cons):
             if names is not None and isinstance(obj, Symbol):
                 return names[obj.name]
-            return _atom_str(obj)
+            if isinstance(obj, _ATOMS) or not hasattr(obj, "struct_type"):
+                return _atom_str(obj)
     if depth <= 0 or id(obj) in on_path:
         if texts is not None:
             texts[_GUARDED] = True
         return "..."
+    if not isinstance(obj, Cons):
+        # A defstruct instance (duck-typed, to keep this layer below the
+        # lisp one): its slots are written under a list's guards.
+        on_path.add(id(obj))
+        parts = [obj.struct_type.name]
+        for field, value in obj.slots.items():
+            parts.append(f":{field} " + _write(value, depth - 1, length,
+                                               on_path, names, texts))
+        on_path.discard(id(obj))
+        return "#S(" + " ".join(parts) + ")"
     car = obj.car
     cdr = obj.cdr
     # Quote family abbreviation: (quote x) -> 'x

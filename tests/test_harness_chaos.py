@@ -11,6 +11,7 @@ import pytest
 
 from repro.harness.chaos import (
     ChaosOutcome,
+    ChaosWorkload,
     RobustnessReport,
     chaos_sweep,
     misdeclared_workload,
@@ -80,6 +81,67 @@ class TestRunChaosCase:
         outcome = run_chaos_case(paper_workloads(6)[0],
                                  fault_matrix(1)[3])  # preempt-storm
         assert outcome.status == "ok"
+
+
+_SEARCH = ChaosWorkload(
+    name="search",
+    program="(declaim (any-result probe) (pure hit))\n"
+            "(defun hit (x) (= x 42))\n"
+            "(defun probe (lst)\n"
+            "  (cond ((null lst) nil)\n"
+            "        ((hit (car lst)) (car lst))\n"
+            "        (t (probe (cdr lst)))))",
+    fname="probe",
+    setup="(setq d (list 5 17 42 8 23 11))",
+    call="({fn} d)",
+    head_ordered=False,
+)
+
+# Prints the outcomes of the misdeclared cell and of the search cell
+# (its fields in argv[1]) from a fresh process.
+_FRESH = """
+import json, sys
+from repro.harness.chaos import (ChaosWorkload, misdeclared_workload,
+                                 run_chaos_case)
+from repro.runtime.faults import fault_matrix
+search = ChaosWorkload(**json.loads(sys.argv[1]))
+print(json.dumps([repr(run_chaos_case(cell, fault_matrix(3)[0], sched_seed=3))
+                  for cell in (misdeclared_workload(6), search)]))
+"""
+
+
+class TestOutcomeIsAFunctionOfTheCell:
+    """Race locations are named by first-seen order within the cell, not
+    by process-global cons-cell ids, so an outcome does not depend on
+    what ran earlier in the process."""
+
+    def test_equal_fresh_and_after_another_seeds_cells(self):
+        import dataclasses
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH,
+             json.dumps(dataclasses.asdict(_SEARCH))],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr[-2000:]
+        fresh = json.loads(done.stdout)
+        chaos_sweep(paper_workloads(5)[2:5], seed=8,
+                    plans=fault_matrix(8)[:2])
+        later = [run_chaos_case(cell, fault_matrix(3)[0], sched_seed=3)
+                 for cell in (misdeclared_workload(6), _SEARCH)]
+        assert [repr(outcome) for outcome in later] == fresh
+        for outcome in later:
+            assert outcome.status == "recovered"
+            assert outcome.recovery_cause.startswith("race: race at loc (")
+            assert outcome.detail == outcome.recovery_cause
 
 
 class TestRunWithRecovery:

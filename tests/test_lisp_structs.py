@@ -98,3 +98,49 @@ class TestDefstructForms:
         before = len(runner.trace.reads())
         ev(runner, "(node-next n)")
         assert len(runner.trace.reads()) == before + 1
+
+
+# A structure printed with Python ``repr`` and no guard overflowed the C
+# stack when it reached itself (the interpreter raises the recursion
+# limit), killing the process; the case runs in a child process so a
+# regression fails this test instead of the whole suite.
+_SELF_REACHING = """
+from repro import api
+print(api.run("(defstruct nd lf rt vl) (setq a (make-nd nil nil 0)) "
+              "(setf (nd-lf a) a)", "a").value)
+print(api.run("(defstruct nd lf rt vl) (setq b (make-nd nil (quote foo) 1.5))"
+              " (setq c (list 1 b)) (setf (nd-rt b) c)", "c").value)
+"""
+
+
+class TestStructPrinting:
+    def test_slots_print_as_lisp(self):
+        from repro import api
+
+        value = api.run("(defstruct nd lf rt vl)",
+                        "(list (make-nd nil 'foo 1.5) (make-nd \"s\"))").value
+        assert value == ('(#S(nd :lf nil :rt foo :vl 1.5) '
+                         '#S(nd :lf "s" :rt nil :vl nil))')
+
+    def test_repr_is_the_printed_form(self):
+        st = StructType("p", ("x", "y"))
+        assert repr(st.make(None, "s")) == '#S(p :x nil :y "s")'
+
+    def test_structure_reaching_itself_prints_guarded(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", _SELF_REACHING],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.splitlines() == [
+            "#S(nd :lf ... :rt nil :vl 0)",
+            "(1 #S(nd :lf nil :rt ... :vl 1.5))",
+        ]

@@ -1,6 +1,6 @@
 """The DFA layer (determinize/minimize/dfa_for) and its corner cases.
 
-Covers what the perf layer leans on: empty-language transfer functions,
+Covers what the analysis leans on: empty-language transfer functions,
 ε-only regexes, minimization idempotence, DFA-vs-NFA agreement on every
 query predicate, and the swept distance enumeration against the per-d
 reference.
@@ -42,7 +42,6 @@ from repro.paths.transfer import (
     conflicts_at_distance,
     min_conflict_distance,
 )
-from repro.perf import perf_disabled
 
 FIELDS = ["car", "cdr", "next"]
 
@@ -146,20 +145,20 @@ class TestMinimizeIdempotence:
 
 
 class TestDfaMatchesNfa:
-    """Every DFA fast path agrees with the legacy NFA implementation."""
+    """Every DFA predicate agrees with simulating the Thompson NFA."""
 
     @settings(max_examples=150, deadline=None)
     @given(regexes(), words)
     def test_predicates_agree(self, r, word):
-        with perf_disabled():
-            nfa_matches = matches(r, word)
-            nfa_prefix = prefix_of_language(word, r)
-            nfa_word_prefix = language_word_is_prefix_of(r, word)
-            nfa_empty = language_empty(r)
-        assert matches(r, word) == nfa_matches
-        assert prefix_of_language(word, r) == nfa_prefix
-        assert language_word_is_prefix_of(r, word) == nfa_word_prefix
-        assert language_empty(r) == nfa_empty
+        nfa = build_nfa(r)
+        reach = nfa.can_reach_accept()
+        assert matches(r, word) == nfa.accepts_in(nfa.run(word))
+        assert prefix_of_language(word, r) == prefix_of_language(
+            word, r, nfa=nfa)
+        assert language_word_is_prefix_of(r, word) == \
+            language_word_is_prefix_of(r, word, nfa=nfa)
+        assert language_empty(r) == (
+            not any(reach[s] for s in nfa.initial()))
 
     @settings(max_examples=80, deadline=None)
     @given(regexes(depth=2), regexes(depth=2))
