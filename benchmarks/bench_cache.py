@@ -15,8 +15,9 @@ Protocol (all cache traffic goes through one ``CacheServer`` over the
 NDJSON wire — the fleet-shared tier, not a shared filesystem):
 
 * cold pass — 2 concurrent worker threads, each with its own
-  ``NetworkCache`` (distinct local dirs), split the grid: 30 misses,
-  30 stores to the shared server;
+  ``ResultCache`` over a local directory and the shared server
+  (distinct local dirs), split the grid: 30 misses, 30 stores to the
+  shared server;
 * the edit — the package is copied, one transform module is edited on
   disk, and the per-stage fingerprints are recomputed from the copy;
 * warm pass — 2 fresh workers with *empty* local dirs (every hit must
@@ -51,8 +52,7 @@ if str(REPO / "src") not in sys.path:  # standalone invocation
 
 from repro import api
 from repro.envelope import KIND_CACHE, dumps, wrap
-from repro.scale.cache import HIT, canonical_json
-from repro.scale.cacheclient import NetworkCache
+from repro.scale.cache import HIT, ResultCache, canonical_json
 from repro.scale.fingerprint import STAGES, stage_fingerprints
 from repro.scale.grids import grid_jobs
 from repro.scale.jobs import job_cache_key, run_job
@@ -80,9 +80,9 @@ def _edited_package_fingerprints(tmp_root: pathlib.Path) -> dict:
 def _sweep_pass(jobs, spec: str, local_root: pathlib.Path,
                 fingerprints=None) -> dict:
     """Sweep ``jobs`` with WORKERS concurrent threads, each owning its
-    own two-tier NetworkCache (own local dir, shared server)."""
+    own store (own local dir, shared server)."""
     shards = [jobs[i::WORKERS] for i in range(WORKERS)]
-    caches = [NetworkCache(spec, local_root / f"w{i}")
+    caches = [ResultCache(local_root / f"w{i}", server=spec)
               for i in range(WORKERS)]
     payloads: dict = {}
     statuses: dict = {}
@@ -93,10 +93,8 @@ def _sweep_pass(jobs, spec: str, local_root: pathlib.Path,
         try:
             for job in shards[index]:
                 key = job_cache_key(job, fingerprints=fingerprints)
-                status, payload = cache.get(key)
-                if status != HIT:
-                    payload = run_job(job)
-                    cache.put(key, payload)
+                payload, status, _ = cache.get_or_compute(
+                    key, lambda job=job: run_job(job))
                 payloads[job.id] = payload
                 statuses[job.id] = "hit" if status == HIT else "miss"
         except Exception as exc:  # surfaced by the main thread

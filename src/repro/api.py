@@ -49,8 +49,8 @@ __all__ = [
     "canonical_json",
     "content_digest",
     "engine_fingerprints",
-    "open_cache_store",
-    "open_op_cache",
+    "op_cache_key",
+    "open_result_store",
     "run",
     "strip_wall",
     "sweep",
@@ -101,7 +101,7 @@ def canonical_json(obj: Any) -> str:
 
 def content_digest(obj: Any) -> str:
     """SHA-256 of the canonical JSON of ``obj`` — the content-addressed
-    digest the result cache and the server's single-flight table key on."""
+    digest single-flight and the router's hash ring key requests on."""
     from repro.scale.cache import sha256_text
 
     return sha256_text(canonical_json(obj))
@@ -114,27 +114,50 @@ def strip_wall(body: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# result-cache facade (the serve/fleet layers may not import the engine
-# directly; the cache server and the router open their stores here)
+# result-store facade (the serve/fleet layers may not import the engine
+# directly; the cache server, serve shards and the router open their
+# stores and key their entries here)
 
-def open_cache_store(root: "str | Any") -> Any:
-    """The on-disk entry store ``repro cache-serve`` hosts: a
-    :class:`repro.scale.cache.ResultCache` (whole-entry ``get_entry`` /
-    ``put_entry`` reads and writes, integrity-verified both ways)."""
+#: Facade op → the pipeline stage whose code fingerprint keys its stored
+#: results.  ``analyze`` stops at conflict distances; ``transform``
+#: emits transformed code; ``run``/``sweep`` depend on the simulated
+#: machine and the job runners respectively.
+OP_STAGES: Dict[str, str] = {
+    "analyze": "distance",
+    "transform": "transform",
+    "run": "machine",
+    "sweep": "sweep",
+}
+
+
+def open_result_store(root: "str | Any" = None, *,
+                      server: Optional[str] = None,
+                      memory_size: int = 0) -> Any:
+    """The tiered result store (:class:`repro.scale.cache.ResultCache`):
+    a ``memory_size``-entry LRU, the ``root`` directory, and the
+    ``repro cache-serve`` at ``server``, each optional.  Lookups and
+    stores never raise; a dead or poisoned tier reads as a miss."""
     from repro.scale.cache import ResultCache
 
-    return ResultCache(root)
+    return ResultCache(root, server=server, memory_size=memory_size)
 
 
-def open_op_cache(server: str, local_dir: Optional[str] = None,
-                  **kwargs: Any) -> Any:
-    """A client for the shared cache keyed at the facade-op level —
-    what serve shards and the router consult before computing.  Never
-    raises from ``get``/``put``; a dead server degrades to local-only
-    (or to a plain miss when ``local_dir`` is None)."""
-    from repro.scale.cacheclient import OpCache
+def op_cache_key(op: str, params: Mapping[str, Any]) -> str:
+    """The store key of one facade op's result: the op, its params and
+    the fingerprint of its stage's code (:data:`OP_STAGES`), so
+    ``analyze`` results survive transform edits.  The first call in a
+    process walks the stage code (:func:`engine_fingerprints`)."""
+    from repro.scale.cache import cache_key
+    from repro.scale.fingerprint import stage_fingerprints
 
-    return OpCache(server, local_root=local_dir, **kwargs)
+    stage = OP_STAGES.get(op, "machine")
+    return cache_key({
+        "kind": "op",
+        "stage": stage,
+        "fingerprint": stage_fingerprints()[stage],
+        "op": op,
+        "params": params,
+    })
 
 
 def engine_fingerprints() -> Dict[str, str]:

@@ -228,8 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--seed", type=int, default=0,
                          help="retry-jitter RNG seed (default: 0)")
     p_route.add_argument("--cache-size", type=int, default=256,
-                         help="router result-cache entries; 0 disables "
-                              "(default: 256)")
+                         help="entries in the router's in-memory result "
+                              "tier; 0 disables (default: 256)")
     p_route.add_argument("--no-fallback", action="store_true",
                          help="answer 'unavailable' instead of sequential "
                               "in-process fallback when every backend "

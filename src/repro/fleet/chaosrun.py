@@ -8,7 +8,7 @@ backend processes behind an in-process
 :class:`~repro.fleet.router.ShardRouter` — and attacks it three ways
 at once:
 
-* a seeded :class:`~repro.serve.chaos.FleetFaultPlan` black-holes and
+* a seeded :func:`~repro.serve.chaos.FleetFaultPlan` black-holes and
   slows router → backend sends (driving retry, failover, and the
   circuit breakers);
 * midway through the request stream, one backend (seed-chosen) is

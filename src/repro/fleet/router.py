@@ -5,21 +5,23 @@ owns no engine of its own — it consistent-hashes each engine request
 across a fleet of ``repro serve`` backends and absorbs their failures.
 Per request, in order:
 
-1. **Cache** — the request's content digest is looked up in a bounded
-   LRU of successful results.  Sound for the same reason single-flight
-   coalescing is: facade calls are deterministic modulo ``wall``, so a
-   previous answer *is* this answer.
+1. **Memory tier** — with ``cache_size`` > 0 the request's store key
+   is looked up in the bounded in-memory tier of the router's result
+   store (:func:`repro.api.open_result_store`).  Sound for the same
+   reason single-flight coalescing is: facade calls are deterministic
+   modulo ``wall``, so a previous answer *is* this answer.
 2. **Single-flight** — concurrent identical requests coalesce onto one
-   in-flight route: the first arrival (the *leader*) does the work,
-   every other arrival blocks on the flight (bounded by its own
-   deadline) and is answered from the leader's outcome.  Without this,
-   a cold popular key is a stampede: N identical waiters fan out as N
-   backend calls that all compute the same thing.
-3. **Shared cache** — with ``--cache-server`` configured, the flight
-   leader consults the fleet-shared op cache
-   (:class:`~repro.scale.cacheclient.OpCache`, stage-fingerprint keys)
-   before touching a backend, and publishes successful results back so
-   one shard's computation warms every peer.
+   in-flight route (:class:`~repro.serve.server.SingleFlight`, keyed on
+   the request's content digest): the first arrival (the *leader*)
+   does the work, every other arrival blocks on the flight (bounded by
+   its own deadline) and is answered from the leader's outcome.
+   Without this, a cold popular key is a stampede: N identical waiters
+   fan out as N backend calls that all compute the same thing.
+3. **Server tier** — with ``--cache-server`` configured, the flight
+   leader looks the store key up on the fleet-shared cache server
+   before touching a backend.  A success is stored in every tier, so
+   one shard's computation warms every peer.  Store keys carry the
+   op's stage fingerprint, computed when the store is opened.
 4. **Ring** — :class:`~repro.fleet.ring.HashRing` maps the digest to a
    failover itinerary (owner first, then each surviving backend once).
 5. **Breakers** — backends whose circuit breaker refuses admission are
@@ -52,24 +54,26 @@ answering probes, and must not be snapped straight back into the ring
 by its next healthy probe.
 
 The connection front is a single event-loop thread (selector-based),
-not thread-per-connection: cache hits and cheap control ops are
+not thread-per-connection: memory-tier hits and cheap control ops are
 answered inline, in strict arrival order — which keeps the hot-path
-latency distribution flat — while cache misses are dispatched to a
-small pool of routing threads (they block on backend sockets, backoff
-sleeps and the sequential fallback).  Responses to pipelined requests
-on one connection may be answered out of order; responses carry the
-request ``id``.
+latency distribution flat — while everything else is dispatched to a
+small pool of routing threads (they block on the cache server, backend
+sockets, backoff sleeps and the sequential fallback).  The event loop
+answers a hit with the payload its one lookup returned, so no backend
+call ever runs on it.  Responses to pipelined requests on one
+connection may be answered out of order; responses carry the request
+``id``.
 
 Every decision is observable: ``fleet.*`` counters, and with a
 recorder attached, ``fleet.request`` spans on the ``PID_FLEET`` track
-(one lane per serving thread) whose args carry the route taken.
+(one lane per serving thread) whose args carry the route taken, all
+kept in one :class:`~repro.serve.server.Telemetry`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Dict, List, Optional, Tuple
@@ -80,7 +84,8 @@ from repro.fleet.client import BackendClient, BackendError
 from repro.fleet.health import HealthProber
 from repro.fleet.retry import RetryPolicy, retryable_code
 from repro.fleet.ring import HashRing
-from repro.serve.chaos import FAULT_BLACKHOLE, FAULT_SLOW, FleetFaultPlan
+from repro.obs.recorder import PID_FLEET
+from repro.serve.chaos import FAULT_BLACKHOLE, FAULT_SLOW, HostFaultPlan
 from repro.serve.protocol import (
     CONTROL_OPS,
     ERR_BAD_REQUEST,
@@ -95,7 +100,13 @@ from repro.serve.protocol import (
     ok_response,
     parse_request,
 )
-from repro.serve.server import NdjsonServer, engine_call
+from repro.serve.server import (
+    Flight,
+    NdjsonServer,
+    SingleFlight,
+    Telemetry,
+    engine_call,
+)
 
 
 def parse_backend(spec: str) -> Tuple[str, str, int]:
@@ -128,12 +139,12 @@ class RouterConfig:
     probe_interval_s: float = 0.5
     probe_max_interval_s: float = 10.0
     fallback: bool = True
-    cache_size: int = 256  # successful results; 0 disables
-    cache_server: Optional[str] = None  # fleet-shared "host:port" op cache
+    cache_size: int = 256  # memory-tier results; 0 disables
+    cache_server: Optional[str] = None  # fleet-shared "host:port" store
     auto_rejoin: bool = True  # re-ring bled backends seen down → healthy
     io_workers: int = 16  # threads for cache-miss routing
     drain_timeout: float = 30.0
-    chaos: Optional[FleetFaultPlan] = None
+    chaos: Optional[HostFaultPlan] = None
     recorder: Any = None
 
 
@@ -148,21 +159,6 @@ class _Backend:
         self.sent = 0
         self.ok = 0
         self.failed = 0
-
-
-class _RouteFlight:
-    """Single-flight state for one in-flight route key.
-
-    The leader stores a *neutral* outcome — ``("ok", result)`` or
-    ``("error", code, message)`` — never a wire response: every waiter
-    builds its own response carrying its own request ``id`` and wall
-    time."""
-
-    __slots__ = ("event", "outcome")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.outcome: Optional[Tuple] = None
 
 
 class _Drained:
@@ -203,16 +199,18 @@ class ShardRouter(NdjsonServer):
             max_delay_s=config.retry_max_delay_s,
             rng=Random(config.seed),
         )
-        self._counters: Dict[str, int] = {}
-        self._obs_lock = threading.Lock()
-        self._tids: Dict[int, int] = {}
-        self._cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._flights: Dict[str, _RouteFlight] = {}
-        self._flights_lock = threading.Lock()
+        self.telemetry = Telemetry(config.recorder, "fleet.request",
+                                   PID_FLEET)
+        self._count = self.telemetry.count
+        self._flights = SingleFlight()
         self._drained_members: Dict[str, _Drained] = {}
-        self._op_cache = (api.open_op_cache(config.cache_server)
-                          if config.cache_server else None)
+        self._store = None
+        if config.cache_size > 0 or config.cache_server:
+            self._store = api.open_result_store(
+                server=config.cache_server, memory_size=config.cache_size)
+            # Store keys hash the stage fingerprints: compute them here,
+            # never on the event loop.
+            api.engine_fingerprints()
         self._fallback_lock = threading.Lock()
         self._started = time.perf_counter()
         for spec in config.backends:
@@ -295,15 +293,8 @@ class ShardRouter(NdjsonServer):
 
     # -- observability -----------------------------------------------------
 
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._obs_lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-            if self.config.recorder is not None:
-                self.config.recorder.count(name, n)
-
     def counters(self) -> Dict[str, int]:
-        with self._obs_lock:
-            return dict(sorted(self._counters.items()))
+        return self.telemetry.counters()
 
     def _breaker_transition(self, name: str):
         def on_transition(frm: str, to: str) -> None:
@@ -333,24 +324,6 @@ class ShardRouter(NdjsonServer):
         if rejoined:
             self._count("fleet.backend.rejoined")
 
-    def _track(self) -> int:
-        """Dense per-connection-thread track id for PID_FLEET."""
-        ident = threading.get_ident()
-        with self._obs_lock:
-            if ident not in self._tids:
-                self._tids[ident] = len(self._tids)
-            return self._tids[ident]
-
-    def _span(self, ph: str, tid: int, args: Optional[dict] = None) -> None:
-        recorder = self.config.recorder
-        if recorder is None:
-            return
-        from repro.obs.recorder import PID_FLEET
-
-        with self._obs_lock:
-            recorder.event("fleet.request", "fleet", ph=ph,
-                           pid=PID_FLEET, tid=tid, args=args or {})
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
@@ -360,22 +333,23 @@ class ShardRouter(NdjsonServer):
 
     def on_drain(self) -> None:
         self._prober.stop()
-        if self._op_cache is not None:
-            self._op_cache.close()
+        if self._store is not None:
+            self._store.close()
 
     # -- the event-loop front ----------------------------------------------
     #
     # Unlike the engine server (thread per connection; requests *block*
-    # on engine work), the router's hot path — a cache hit — is pure
-    # in-memory lookup.  Serving it from a single event-loop thread
+    # on engine work), the router's hot path — a memory-tier hit — is a
+    # pure in-memory lookup.  Serving it from a single event-loop thread
     # answers hits in strict arrival order, which keeps the latency
     # distribution flat: no herd of connection threads racing for the
     # interpreter, no request overtaken N times by later arrivals.
-    # Cache misses (which block on backend sockets, backoff sleeps and
-    # the sequential fallback) are handed to a small pool of routing
-    # threads; their replies are written back under a per-connection
-    # lock.  Pipelined requests on one connection may therefore be
-    # answered out of order — responses carry the request ``id``.
+    # Everything else (which blocks on the cache server, backend
+    # sockets, backoff sleeps and the sequential fallback) is handed to
+    # a small pool of routing threads; their replies are written back
+    # under a per-connection lock.  Pipelined requests on one
+    # connection may therefore be answered out of order — responses
+    # carry the request ``id``.
 
     def serve_forever(self) -> None:
         """Accept and serve connections on one event-loop thread until
@@ -460,20 +434,24 @@ class ShardRouter(NdjsonServer):
             else:
                 self._reply(conn, encode(self._handle_control(request)))
             return
-        key = api.content_digest({"op": request.op,
-                                  "params": request.params})
-        if self._cache_peek(key):
-            self._reply(conn, encode(self._route(request, key, start)))
+        keys = self._keys(request)
+        cached = self._remembered(keys[1])
+        if cached is not None:
+            # Answered with the payload this one lookup returned: an
+            # eviction right after it cannot send the route to the
+            # backends from this thread.
+            self._reply(conn, encode(self._route(request, keys, start,
+                                                 cached)))
         else:
-            pool.submit(self._routed_reply, conn, request, key, start)
+            pool.submit(self._routed_reply, conn, request, keys, start)
 
     def _control_reply(self, conn: _Conn, request: Request) -> None:
         self._reply(conn, encode(self._handle_control(request)))
 
-    def _routed_reply(self, conn: _Conn, request: Request, key: str,
-                      start: float) -> None:
+    def _routed_reply(self, conn: _Conn, request: Request,
+                      keys: Tuple[str, Optional[str]], start: float) -> None:
         try:
-            payload = encode(self._route(request, key, start))
+            payload = encode(self._route(request, keys, start))
         except Exception as err:  # noqa: BLE001 — never lose a reply
             self._count(f"fleet.request.error.{ERR_INTERNAL}")
             payload = encode(error_response(
@@ -487,12 +465,6 @@ class ShardRouter(NdjsonServer):
                 conn.sock.sendall(payload)
         except OSError:
             pass  # client went away; the route already ran
-
-    def _cache_peek(self, key: str) -> bool:
-        if self.config.cache_size <= 0:
-            return False
-        with self._cache_lock:
-            return key in self._cache
 
     # -- request handling --------------------------------------------------
 
@@ -560,10 +532,9 @@ class ShardRouter(NdjsonServer):
                 }
                 for name, backend in sorted(self._backends.items())
             }
-        with self._cache_lock:
-            cache_entries = len(self._cache)
         with self._members_lock:
             drained = sorted(self._drained_members)
+        entries = len(self._store) if self._store is not None else 0
         body: Dict[str, Any] = {
             "kind": "stats",
             "role": "router",
@@ -572,17 +543,16 @@ class ShardRouter(NdjsonServer):
             "vnodes": self.config.vnodes,
             "attempts": self.config.attempts,
             "fallback": self.config.fallback,
-            "cache": {"size": self.config.cache_size,
-                      "entries": cache_entries},
+            "cache": {"size": self.config.cache_size, "entries": entries},
             "backends": backends,
             "drained": drained,
             "counters": self.counters(),
             "uptime_s": round(time.perf_counter() - self._started, 3),
         }
-        if self._op_cache is not None:
+        if self.config.cache_server:
             body["shared_cache"] = {
                 "server": self.config.cache_server,
-                **self._op_cache.stats(),
+                **self._store.stats(),
             }
         if self.config.chaos is not None:
             body["chaos"] = self.config.chaos.describe()
@@ -590,27 +560,56 @@ class ShardRouter(NdjsonServer):
 
     # -- the routing core --------------------------------------------------
 
-    def _route(self, request: Request, key: Optional[str] = None,
-               start: Optional[float] = None) -> Dict[str, Any]:
+    def _route(self, request: Request,
+               keys: Optional[Tuple[str, Optional[str]]] = None,
+               start: Optional[float] = None,
+               cached: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         # ``start`` is when the request line was parsed (so time queued
-        # behind the routing pool counts against the deadline).
+        # behind the routing pool counts against the deadline);
+        # ``cached`` is a payload the event loop already read from the
+        # memory tier.
         if start is None:
             start = time.perf_counter()
-        tid = self._track()
-        if key is None:
-            key = api.content_digest({"op": request.op,
-                                      "params": request.params})
-        self._span("B", tid, {"op": request.op, "key": key[:12]})
+        if keys is None:
+            keys = self._keys(request)
+        tid = self.telemetry.track()
+        self.telemetry.span("B", tid, {"op": request.op,
+                                       "key": keys[0][:12]})
         route = "?"
         try:
-            response, route = self._route_inner(request, key, start)
+            response, route = self._route_inner(request, keys, start,
+                                                cached)
             return response
         finally:
-            self._span("E", tid, {"op": request.op, "route": route})
+            self.telemetry.span("E", tid, {"op": request.op,
+                                           "route": route})
 
-    def _route_inner(self, request: Request, key: str,
-                     start: float) -> Tuple[Dict[str, Any], str]:
-        cached = self._cache_get(key)
+    def _keys(self, request: Request) -> Tuple[str, Optional[str]]:
+        """The request's content digest (flights and the ring) and, when
+        the router has a store, its store key."""
+        digest = api.content_digest({"op": request.op,
+                                     "params": request.params})
+        if self._store is None:
+            return digest, None
+        return digest, api.op_cache_key(request.op, request.params)
+
+    def _remembered(self, store_key: Optional[str]
+                    ) -> Optional[Dict[str, Any]]:
+        """The memory tier's payload for ``store_key``, in one step."""
+        if self._store is None:
+            return None
+        return self._store.lookup(store_key, ("memory",))[1]
+
+    def _deadline_s(self, request: Request) -> float:
+        return (request.deadline_ms if request.deadline_ms is not None
+                else self.config.default_deadline_ms) / 1000.0
+
+    def _route_inner(self, request: Request, keys: Tuple[str, Optional[str]],
+                     start: float, cached: Optional[Dict[str, Any]]
+                     ) -> Tuple[Dict[str, Any], str]:
+        key, store_key = keys
+        if cached is None:
+            cached = self._remembered(store_key)
         if cached is not None:
             self._count("fleet.cache.hits")
             self._count("fleet.request.ok")
@@ -618,35 +617,34 @@ class ShardRouter(NdjsonServer):
             return (ok_response(request.id, request.op, cached, wall_ms),
                     "cache")
         self._count("fleet.cache.misses")
-        flight, leader = self._join_flight(key)
+        flight, leader = self._flights.join(
+            key, start + self._deadline_s(request))
         if not leader:
             return self._await_flight(flight, request, start)
-        # The flight leader: one backend call feeds every concurrent
-        # identical waiter.  The outcome is published (and the flight
-        # retired) even if routing raises — waiters must never hang.
+        # The flight leader: one server-tier lookup and at most one
+        # backend route feed every concurrent identical waiter.  The
+        # outcome is published (and the flight retired) even if
+        # routing raises — waiters must never hang.
         outcome: Tuple = ("error", ERR_INTERNAL, "route leader crashed")
         route = "leader-crash"
         try:
-            outcome, route = self._leader_route(request, key, start)
+            shared = None
+            if self.config.cache_server:
+                shared = self._store.lookup(store_key, ("server",))[1]
+                self._count("fleet.shared_cache.misses" if shared is None
+                            else "fleet.shared_cache.hits")
+            if shared is not None:
+                self._count("fleet.request.ok")
+                outcome, route = ("ok", shared), "shared-cache"
+            else:
+                outcome, route = self._route_backends(request, key, start)
+                if outcome[0] == "ok" and self._store is not None:
+                    self._store.put(store_key, outcome[1])
         finally:
-            flight.outcome = outcome
-            with self._flights_lock:
-                self._flights.pop(key, None)
-            flight.event.set()
+            self._flights.publish(flight, outcome)
         return (self._outcome_response(outcome, request, start), route)
 
-    def _join_flight(self, key: str) -> Tuple[_RouteFlight, bool]:
-        """Join (or open) the in-flight route for ``key``; the second
-        element is True for the leader."""
-        with self._flights_lock:
-            flight = self._flights.get(key)
-            if flight is not None:
-                return flight, False
-            flight = _RouteFlight()
-            self._flights[key] = flight
-            return flight, True
-
-    def _await_flight(self, flight: _RouteFlight, request: Request,
+    def _await_flight(self, flight: Flight, request: Request,
                       start: float) -> Tuple[Dict[str, Any], str]:
         """A coalesced waiter: block — bounded by *this* request's own
         deadline — for the leader's outcome, then answer with this
@@ -654,11 +652,9 @@ class ShardRouter(NdjsonServer):
         ``deadline_exceeded`` to its waiters; they were asking the
         same question and would have met the same fate."""
         self._count("fleet.request.coalesced")
-        deadline_s = (request.deadline_ms
-                      if request.deadline_ms is not None
-                      else self.config.default_deadline_ms) / 1000.0
-        remaining = start + deadline_s - time.perf_counter()
-        if not flight.event.wait(max(0.0, remaining)):
+        deadline_s = self._deadline_s(request)
+        outcome = self._flights.wait(flight, start + deadline_s)
+        if outcome is None:
             self._count("fleet.request.deadline_exceeded")
             return (error_response(
                 request.id, ERR_DEADLINE,
@@ -666,10 +662,6 @@ class ShardRouter(NdjsonServer):
                 "waiting on a coalesced in-flight route",
                 (time.perf_counter() - start) * 1000.0),
                 "coalesced:deadline")
-        outcome = flight.outcome
-        if outcome is None:  # defensive: the leader always publishes
-            outcome = ("error", ERR_INTERNAL,
-                       "coalesced flight lost its outcome")
         if outcome[0] == "ok":
             self._count("fleet.request.ok")
         else:
@@ -686,34 +678,9 @@ class ShardRouter(NdjsonServer):
             return ok_response(request.id, request.op, outcome[1], wall_ms)
         return error_response(request.id, outcome[1], outcome[2], wall_ms)
 
-    def _leader_route(self, request: Request, key: str,
-                      start: float) -> Tuple[Tuple, str]:
-        """The flight leader's work: fleet-shared cache first (when
-        configured), then the backend itinerary; successful results are
-        published back to the shared cache so one shard's computation
-        warms every peer."""
-        shared = self._op_cache
-        if shared is None:
-            return self._route_backends(request, key, start)
-        params = dict(request.params)
-        shared_key = shared.key(request.op, params)
-        result = shared.get(request.op, params, shared_key)
-        if result is not None:
-            self._count("fleet.shared_cache.hits")
-            self._count("fleet.request.ok")
-            self._cache_put(key, result)
-            return ("ok", result), "shared-cache"
-        self._count("fleet.shared_cache.misses")
-        outcome, route = self._route_backends(request, key, start)
-        if outcome[0] == "ok":
-            shared.put(request.op, params, outcome[1], shared_key)
-        return outcome, route
-
     def _route_backends(self, request: Request, key: str,
                         start: float) -> Tuple[Tuple, str]:
-        deadline_s = (request.deadline_ms
-                      if request.deadline_ms is not None
-                      else self.config.default_deadline_ms) / 1000.0
+        deadline_s = self._deadline_s(request)
         deadline_end = start + deadline_s
         with self._members_lock:
             itinerary = self._ring.lookup(key)
@@ -743,7 +710,6 @@ class ShardRouter(NdjsonServer):
             outcome = self._send(backend, request, remaining)
             kind = outcome[0]
             if kind == "ok":
-                self._cache_put(key, outcome[1])
                 self._count("fleet.request.ok")
                 return (("ok", outcome[1]),
                         name if position == 0 else f"failover:{name}")
@@ -760,7 +726,7 @@ class ShardRouter(NdjsonServer):
                 if deadline_end - time.perf_counter() > delay:
                     time.sleep(delay)
             retries += 1
-        return self._degrade(request, key, start, failures)
+        return self._degrade(request, failures)
 
     def _send(self, backend: _Backend, request: Request,
               remaining_s: float) -> Tuple:
@@ -773,7 +739,7 @@ class ShardRouter(NdjsonServer):
         """
         name = backend.client.name
         if self.config.chaos is not None:
-            fault = self.config.chaos.on_send(name)
+            fault = self.config.chaos.on_request()
             if fault is not None:
                 kind, value = fault
                 if kind == FAULT_BLACKHOLE:
@@ -782,7 +748,7 @@ class ShardRouter(NdjsonServer):
                     # the real thing.
                     self._count("fleet.fault.blackhole")
                     backend.breaker.record_failure()
-                    with self._obs_lock:
+                    with self._members_lock:
                         backend.failed += 1
                     return ("retryable", "chaos blackhole (synthetic "
                                          "connect failure)")
@@ -790,7 +756,7 @@ class ShardRouter(NdjsonServer):
                     self._count("fleet.fault.slow")
                     time.sleep(min(value / 1000.0, max(0.0, remaining_s)))
         timeout_s = min(remaining_s, self.config.request_timeout_s)
-        with self._obs_lock:
+        with self._members_lock:
             backend.sent += 1
         try:
             response = backend.client.call(
@@ -799,19 +765,19 @@ class ShardRouter(NdjsonServer):
         except BackendError as err:
             self._count(f"fleet.transport.{err.kind}")
             backend.breaker.record_failure()
-            with self._obs_lock:
+            with self._members_lock:
                 backend.failed += 1
             return ("retryable", f"transport {err.kind}")
         except ValueError as err:
             # Unparseable response line: treat like a mid-exchange close.
             self._count("fleet.transport.garbled")
             backend.breaker.record_failure()
-            with self._obs_lock:
+            with self._members_lock:
                 backend.failed += 1
             return ("retryable", f"garbled response: {err}")
         backend.breaker.record_success()
         if response.get("ok"):
-            with self._obs_lock:
+            with self._members_lock:
                 backend.ok += 1
             return ("ok", response.get("result", {}))
         error = response.get("error") or {}
@@ -821,15 +787,14 @@ class ShardRouter(NdjsonServer):
             code = ERR_INTERNAL
         if retryable_code(code):
             self._count(f"fleet.pressure.{code}")
-            with self._obs_lock:
+            with self._members_lock:
                 backend.failed += 1
             return ("retryable", f"pressure: {code}")
         return ("definitive", code, f"[{name}] {message}")
 
-    def _degrade(self, request: Request, key: str, start: float,
+    def _degrade(self, request: Request,
                  failures: List[str]) -> Tuple[Tuple, str]:
         """Every backend failed (or none exist): fall back or refuse."""
-        del start
         tried = "; ".join(failures) if failures else "no backends in ring"
         if not self.config.fallback:
             self._count("fleet.request.unavailable")
@@ -856,26 +821,5 @@ class ShardRouter(NdjsonServer):
                 return (("error", ERR_INTERNAL,
                          f"{type(err).__name__}: {err}"),
                         "fallback:internal")
-        self._cache_put(key, result)
         self._count("fleet.request.ok")
         return (("ok", result), "fallback")
-
-    # -- the response cache ------------------------------------------------
-
-    def _cache_get(self, key: str) -> Optional[Dict[str, Any]]:
-        if self.config.cache_size <= 0:
-            return None
-        with self._cache_lock:
-            result = self._cache.get(key)
-            if result is not None:
-                self._cache.move_to_end(key)
-            return result
-
-    def _cache_put(self, key: str, result: Dict[str, Any]) -> None:
-        if self.config.cache_size <= 0:
-            return
-        with self._cache_lock:
-            self._cache[key] = result
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.config.cache_size:
-                self._cache.popitem(last=False)

@@ -46,9 +46,15 @@ from repro.sexpr.datum import Cons, Symbol, SymbolTable, DEFAULT_SYMBOLS, list_t
 
 EvalGen = Generator[Effect, Any, Any]
 
-# Deep Lisp recursion nests generator frames; raise the Python limit once.
-if sys.getrecursionlimit() < 100_000:
-    sys.setrecursionlimit(100_000)
+# Deep Lisp recursion nests generator frames, and CPython 3.11 resumes
+# each nested generator on the C stack, about 400 bytes a frame: an
+# 8 MB stack holds some 20,000 before the process dies.  The limit stays
+# below that, so a program that recurses too deeply raises (and
+# ``apply_gen`` makes that a LispError) instead.  A plain one-call-per-
+# level recursion uses six frames a level: (dn 3000) needs 18,000.
+RECURSION_LIMIT = 19_000
+if sys.getrecursionlimit() < RECURSION_LIMIT:
+    sys.setrecursionlimit(RECURSION_LIMIT)
 
 
 def _is_cxr(name: str) -> bool:
@@ -185,7 +191,13 @@ class Interpreter:
         if isinstance(fn, Closure):
             yield Tick(1, f"call {fn.name or 'lambda'}")
             call_env = self._bind_params(fn, args)
-            return (yield from self.eval_sequence(fn.body, call_env))
+            try:
+                return (yield from self.eval_sequence(fn.body, call_env))
+            except RecursionError as err:
+                raise EvalError(
+                    f"recursion too deep in {fn.name or 'lambda'} ({err}); "
+                    "the compiled eval mode does not nest Python frames"
+                ) from None
         raise WrongType("a function", fn, "apply")
 
     def _bind_params(self, fn: Closure, args: list[Any]) -> Environment:

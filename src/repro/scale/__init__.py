@@ -11,18 +11,17 @@ same automata and transforms from scratch.  Three pieces fix that:
   queues, per-job timeouts, and crash isolation: a worker that dies
   marks its job failed and is respawned (the PR-1 robustness
   vocabulary, applied to OS processes instead of simulated ones).
-* :mod:`repro.scale.cache` — a content-addressed persistent on-disk
-  result cache (key = SHA-256 of program source + declarations +
-  pipeline/cost-model config + the job's *stage fingerprint*), shared
-  across worker processes *and* across runs, with payload-hash
-  integrity checks so a corrupted entry is discarded and recomputed,
-  never trusted.
+* :mod:`repro.scale.cache` — the one content-addressed result store
+  (key = SHA-256 of program source + declarations + pipeline/cost-model
+  config + the job's *stage fingerprint*): memory, then disk, then a
+  shared ``repro cache-serve`` (reached through
+  :mod:`repro.scale.cacheclient`), shared across worker processes,
+  runs and machines, with payload-hash integrity checks so a corrupted
+  entry is discarded and recomputed, never trusted, and a dead or
+  poisoned server degrades to the tiers left.
 * :mod:`repro.scale.fingerprint` — per-stage code fingerprints from a
   module-dependency walk, so editing one transform leaves parse /
   analysis / distance entries warm instead of orphaning the cache.
-* :mod:`repro.scale.cacheclient` — the fleet-shared tier: a
-  write-through client for ``repro cache-serve`` that degrades to
-  per-machine caching when the server is dead or poisoned.
 * :mod:`repro.scale.grids` / :mod:`repro.scale.jobs` — the sweep
   families (fig06 / fig07 / fig10 / analytic-model validation /
   analyze-only distance jobs) as self-contained, picklable job specs,
@@ -42,7 +41,6 @@ from repro.scale.cache import (
     code_version,
     make_entry,
 )
-from repro.scale.cacheclient import NetworkCache, OpCache
 from repro.scale.driver import JobOutcome, run_jobs
 from repro.scale.fingerprint import (
     STAGE_ROOTS,
@@ -67,8 +65,6 @@ from repro.scale.report import (
 
 __all__ = [
     "JobOutcome",
-    "NetworkCache",
-    "OpCache",
     "ResultCache",
     "STAGES",
     "STAGE_ROOTS",

@@ -1,4 +1,4 @@
-"""Content-addressed persistent result cache for sweep jobs.
+"""The content-addressed result store: memory, then disk, then a server.
 
 Reusing an analysis/transform/simulation result is only sound when the
 cached output is *exactly* what a fresh computation would produce — the
@@ -17,16 +17,27 @@ here with byte identity.  Two mechanisms enforce it:
    finer than a stage closure: a stale hit is a wrong experiment.
    (:func:`code_version`, the original whole-package digest, remains as
    provenance recorded in every entry and as the coarse fallback.)
-2. **Entries carry their own integrity hash.**  A cache file stores the
+2. **Entries carry their own integrity hash.**  An entry stores the
    payload together with ``payload_sha256`` (hash of the payload's
-   canonical JSON).  On read, a missing file is a *miss*; an unreadable
-   / syntactically broken / hash-mismatching file is *invalid*: the
-   entry is deleted and the caller recomputes.  Corruption can degrade
-   performance, never correctness.
+   canonical JSON).  Every entry read from disk or from the server is
+   checked (:func:`check_entry`) before it is trusted: a bad disk entry
+   is deleted and reads *invalid*, a bad server entry reads as a miss,
+   and the caller recomputes.  Corruption can degrade performance,
+   never correctness.
 
-Writes are atomic (``os.replace`` of a per-process temp file), so
-concurrent sweep workers sharing one cache directory race benignly:
-last writer wins with identical bytes.
+:class:`ResultCache` is the one store.  Its tiers are optional — a
+bounded in-memory LRU of payloads (``memory_size``), a directory of
+entry files (``root``), and a shared ``repro cache-serve`` reached over
+kept connections (``server``, :mod:`repro.scale.cacheclient`).  A
+lookup walks the tiers it has, fastest first, and reports which one
+answered; a hit from a slower tier is written through to the faster
+ones, and a store writes every tier.  A failing tier is a miss, never
+an exception: a server that fails to answer is marked down for
+``retry_after_s`` and the store carries on with the tiers it has left.
+
+Disk writes are atomic (``os.replace`` of a per-writer temp file), so
+workers sharing one cache directory race benignly: last writer wins
+with identical bytes.
 """
 
 from __future__ import annotations
@@ -34,8 +45,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
+import time
+from collections import OrderedDict
+from contextlib import suppress
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 #: Cache on-disk format version; bump to orphan all existing entries.
 CACHE_FORMAT = 1
@@ -45,6 +60,14 @@ HIT = "hit"
 MISS = "miss"
 INVALID = "invalid"
 OFF = "off"
+
+#: The tiers, in the order a lookup walks them.
+MEMORY = "memory"
+DISK = "disk"
+SERVER = "server"
+TIERS = (MEMORY, DISK, SERVER)
+
+_TALLY = {HIT: "hits", MISS: "misses", INVALID: "invalid"}
 
 
 def canonical_json(obj: Any) -> str:
@@ -101,9 +124,9 @@ def make_entry(key: str, payload: dict) -> dict:
 
 def check_entry(entry: Any, key: str) -> bool:
     """True iff ``entry`` is a well-formed, integrity-clean entry for
-    ``key``.  Shared by the local store, the cache server (both
-    directions of the wire) and the network client — an entry that
-    fails here is treated as corrupt everywhere, never served."""
+    ``key``.  Shared by the disk tier, the cache server (both
+    directions of the wire) and the server tier — an entry that fails
+    here is treated as corrupt everywhere, never served."""
     try:
         payload = entry["payload"]
         return bool(
@@ -117,83 +140,129 @@ def check_entry(entry: Any, key: str) -> bool:
 
 
 class ResultCache:
-    """A directory of content-addressed, integrity-checked JSON entries.
+    """One tiered, content-addressed, integrity-checked result store.
 
-    Layout: ``<root>/<key[:2]>/<key>.json`` (fan-out keeps directory
-    listings short on big sweeps).  Counters accumulate per instance;
-    the sweep driver aggregates worker-side counts into the report and
-    the flight recorder.
+    Tiers (each optional): ``memory_size`` > 0 keeps that many payloads
+    in an LRU, ``root`` is a directory laid out as
+    ``<root>/<key[:2]>/<key>.json`` (fan-out keeps listings short on
+    big sweeps), and ``server`` is the ``host:port`` of a
+    ``repro cache-serve``.  Safe to share between threads.
+
+    ``hits`` / ``misses`` / ``invalid`` count lookups that reached a
+    persistent tier (a memory answer is its caller's to count),
+    ``stores`` counts stores, and the ``remote_*`` counters the
+    server tier's own traffic.
     """
 
-    def __init__(self, root: "str | Path"):
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.invalid = 0
-        self.stores = 0
+    def __init__(self, root: "str | Path | None" = None, *,
+                 server: Optional[str] = None, memory_size: int = 0,
+                 connect_timeout_s: float = 1.0, call_timeout_s: float = 5.0,
+                 retry_after_s: float = 30.0,
+                 clock: Callable[[], float] = time.monotonic):
+        self.root = Path(root) if root is not None else None
+        self.memory_size = memory_size
+        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        self._link = None
+        if server:
+            from repro.scale.cacheclient import _ServerLink
+
+            self._link = _ServerLink(server, connect_timeout_s,
+                                     call_timeout_s)
+        self._retry_after_s = retry_after_s
+        self._clock = clock
+        self._down_until = 0.0
+        self._lock = threading.Lock()  # the memory tier and the counters
+        self.hits = self.misses = self.invalid = self.stores = 0
+        self.remote_hits = self.remote_stores = 0
+        self.remote_invalid = self.remote_errors = 0
+
+    def server_up(self) -> bool:
+        """False for ``retry_after_s`` after a failed server call."""
+        return self._clock() >= self._down_until
+
+    def __len__(self) -> int:
+        """Payloads held in the memory tier."""
+        with self._lock:
+            return len(self._memory)
 
     def path_for(self, key: str) -> Path:
+        assert self.root is not None, "no disk tier"
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Tuple[str, Optional[dict]]:
-        """Return ``(status, payload)``; status is HIT, MISS, or INVALID.
+    # -- lookup and store ---------------------------------------------------
 
-        INVALID covers every way an entry can be wrong — unreadable
-        file, malformed JSON, wrong envelope, format-version or key
-        mismatch, payload-hash mismatch — and always deletes the entry
-        so the slot is clean for the recompute's store.
-        """
-        path = self.path_for(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.misses += 1
-            return MISS, None
-        except OSError:
-            self.invalid += 1
-            self._discard(path)
-            return INVALID, None
-        try:
-            entry = json.loads(raw)
-        except ValueError:
-            entry = None
-        if not check_entry(entry, key):
-            self.invalid += 1
-            self._discard(path)
-            return INVALID, None
-        self.hits += 1
-        return HIT, entry["payload"]
+    def lookup(self, key: str, tiers: Tuple[str, ...] = TIERS
+               ) -> Tuple[str, Optional[dict], Optional[str]]:
+        """Walk the tiers of ``tiers`` that this store has, fastest
+        first.  Returns ``(status, payload, tier)``: ``(HIT, payload,
+        the tier that answered)``, or ``(MISS or INVALID, None, None)``
+        — INVALID when a bad disk entry was found (and deleted) and no
+        slower tier answered.  A hit from a slower tier is written
+        through to the faster ones."""
+        if MEMORY in tiers and self.memory_size > 0:
+            with self._lock:
+                payload = self._memory.get(key)
+                if payload is not None:
+                    self._memory.move_to_end(key)
+                    return HIT, payload, MEMORY
+        # ``tier`` is the last persistent tier asked: the one that
+        # answered when ``entry`` is set, None when none was asked.
+        status, entry, tier = MISS, None, None
+        if DISK in tiers and self.root is not None:
+            status, entry = self._read(key)
+            tier = DISK
+        if entry is None and SERVER in tiers and self._link is not None:
+            entry = self._remote_get(key)
+            tier = SERVER
+        if tier is None:
+            return MISS, None, None
+        self._count(_TALLY[HIT if entry is not None else status])
+        if entry is None:
+            return status, None, None
+        self._remember(key, entry["payload"])
+        if tier == SERVER and self.root is not None:
+            with suppress(OSError):  # a failing disk tier is skipped
+                self._write(key, entry)
+        return HIT, entry["payload"], tier
+
+    def get(self, key: str) -> Tuple[str, Optional[dict]]:
+        """``(status, payload)`` of a lookup through every tier."""
+        status, payload, _ = self.lookup(key)
+        return status, payload
 
     def put(self, key: str, payload: dict) -> None:
-        """Store a payload atomically under its key."""
-        self._write(key, make_entry(key, payload))
+        """Store ``payload`` under ``key`` in every tier."""
+        self._remember(key, payload)
+        if self.root is not None or self._link is not None:
+            entry = make_entry(key, payload)
+            if self.root is not None:
+                with suppress(OSError):  # a failing disk tier is skipped
+                    self._write(key, entry)
+            if self._link is not None:
+                self._remote_put(key, entry)
+        self._count("stores")
 
-    def close(self) -> None:
-        """Nothing held open (the surface :class:`NetworkCache` shares)."""
+    def get_or_compute(self, key: str, compute: Callable[[], dict]
+                       ) -> Tuple[dict, str, Optional[str]]:
+        """The stored payload for ``key``, or ``compute()``'s, stored.
+
+        Returns ``(payload, status, tier)`` with the lookup's status
+        and answering tier (None when computed).  A compute that
+        raises stores nothing: only successes are ever stored."""
+        status, payload, tier = self.lookup(key)
+        if tier is None:
+            payload = compute()
+            self.put(key, payload)
+        return payload, status, tier
+
+    # -- the cache server's whole-entry access to the disk tier -------------
 
     def get_entry(self, key: str) -> Optional[dict]:
         """Whole-entry read for the cache server: the wire carries the
         full envelope so clients can re-verify ``payload_sha256``
         end-to-end.  Invalid entries are deleted and read as misses."""
-        path = self.path_for(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except OSError:
-            self.invalid += 1
-            self._discard(path)
-            return None
-        try:
-            entry = json.loads(raw)
-        except ValueError:
-            entry = None
-        if not check_entry(entry, key):
-            self.invalid += 1
-            self._discard(path)
-            return None
-        self.hits += 1
+        status, entry = self._read(key)
+        self._count(_TALLY[status])
         return entry
 
     def put_entry(self, key: str, entry: Any) -> bool:
@@ -202,30 +271,116 @@ class ResultCache:
         is refused (False), so one bad client cannot poison the shared
         store."""
         if not check_entry(entry, key):
-            self.invalid += 1
+            self._count("invalid")
             return False
         self._write(key, entry)
+        self._count("stores")
         return True
+
+    # -- tiers ---------------------------------------------------------------
+
+    def _remember(self, key: str, payload: dict) -> None:
+        if self.memory_size <= 0:
+            return
+        with self._lock:
+            self._memory[key] = payload
+            self._memory.move_to_end(key)
+            while len(self._memory) > self.memory_size:
+                self._memory.popitem(last=False)
+
+    def _read(self, key: str) -> Tuple[str, Optional[dict]]:
+        """Read → verify → discard: ``(HIT, entry)``, ``(MISS, None)``,
+        or ``(INVALID, None)`` for every way an entry can be wrong —
+        unreadable file, malformed JSON, wrong envelope, format-version
+        or key mismatch, payload-hash mismatch — after deleting it so
+        the slot is clean for the recompute's store."""
+        path = self.path_for(key)
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return MISS, None
+        except (OSError, ValueError):
+            entry = None
+        if check_entry(entry, key):
+            return HIT, entry
+        _discard(path)
+        return INVALID, None
 
     def _write(self, key: str, entry: dict) -> None:
         path = self.path_for(key)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(canonical_json(entry) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-        self.stores += 1
-
-    @staticmethod
-    def _discard(path: Path) -> None:
         try:
-            path.unlink()
+            tmp.write_text(canonical_json(entry) + "\n", encoding="utf-8")
+            os.replace(tmp, path)
         except OSError:
-            pass  # already gone, or unremovable — recompute regardless
+            _discard(tmp)
+            raise
+
+    def _remote_get(self, key: str) -> Optional[dict]:
+        response = self._remote_call("cache-get", {"key": key})
+        # A typed refusal (draining, bad request) is a server that
+        # answered; it is not marked down, the lookup just misses.
+        if response is None or not response.get("ok"):
+            return None
+        result = response.get("result") or {}
+        if not result.get("found"):
+            return None
+        entry = result.get("entry")
+        if not check_entry(entry, key):
+            # Poisoned or corrupted in transit: never trust it.
+            self._count("remote_invalid")
+            return None
+        self._count("remote_hits")
+        return entry
+
+    def _remote_put(self, key: str, entry: dict) -> None:
+        response = self._remote_call("cache-put",
+                                     {"key": key, "entry": entry})
+        if response is not None and response.get("ok") and (
+                response.get("result") or {}).get("stored"):
+            self._count("remote_stores")
+
+    def _remote_call(self, op: str, params: dict) -> Optional[dict]:
+        """One server call; None while the server is marked down, and
+        a transport failure marks it down."""
+        from repro.scale.cacheclient import CacheTransportError
+
+        if not self.server_up():
+            return None
+        try:
+            return self._link.call(op, params)
+        except CacheTransportError:
+            self._mark_down()
+            return None
+
+    def _mark_down(self) -> None:
+        self._count("remote_errors")
+        self._down_until = self._clock() + self._retry_after_s
+
+    def _count(self, name: str) -> None:
+        with self._lock:
+            setattr(self, name, getattr(self, name) + 1)
 
     def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalid": self.invalid,
-            "stores": self.stores,
-        }
+        with self._lock:
+            body = {"hits": self.hits, "misses": self.misses,
+                    "invalid": self.invalid, "stores": self.stores}
+            if self._link is not None:
+                body.update(remote_hits=self.remote_hits,
+                            remote_stores=self.remote_stores,
+                            remote_invalid=self.remote_invalid,
+                            remote_errors=self.remote_errors)
+        return body
+
+    def close(self) -> None:
+        """Close the server tier's kept connections."""
+        if self._link is not None:
+            self._link.close()
+
+
+def _discard(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass  # already gone, or unremovable — recompute regardless

@@ -33,11 +33,12 @@ into the replacement.  The health check still drains the affected
 worker's queue immediately before terminating it, to keep any result
 posted at the deadline instead of discarding it.
 
-With ``cache_server=`` set (``host:port`` of ``repro cache-serve``)
-each worker fronts its local cache directory with the fleet-shared
-store (:class:`repro.scale.cacheclient.NetworkCache`): remote hits are
-verified and written through locally, stores are pushed best-effort,
-and a dead or poisoned server degrades to per-machine caching.
+Each worker (and the inline path) computes through one
+:class:`~repro.scale.cache.ResultCache` over the tiers it is given: the
+``cache_dir`` directory and, with ``cache_server=`` set (``host:port``
+of ``repro cache-serve``), the fleet-shared server behind it.  Server
+hits are verified and written through to the directory, stores go to
+both, and a dead or poisoned server degrades to per-machine caching.
 
 Observability: with a recorder attached the parent emits one
 ``scale.job`` span per job (wall clock, ``pid=PID_SCALE``, one track
@@ -54,7 +55,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from repro.scale.cache import HIT, INVALID, MISS, OFF
+from repro.scale.cache import INVALID, MISS, OFF, ResultCache
 from repro.scale.jobs import SweepJob, job_cache_key, run_job
 
 #: Job outcome statuses (the ``scale.job.*`` counter vocabulary).
@@ -83,31 +84,16 @@ class JobOutcome:
         return self.status == OK
 
 
-def _open_cache(cache_dir: Optional[str], cache_server: Optional[str]):
-    """The cache a worker (or the inline path) computes through: the
-    plain local store, the two-tier network cache, or nothing."""
-    if cache_server:
-        from repro.scale.cacheclient import NetworkCache
-
-        return NetworkCache(cache_server, local_root=cache_dir)
-    if cache_dir:
-        from repro.scale.cache import ResultCache
-
-        return ResultCache(cache_dir)
-    return None
-
-
-def _execute(job: SweepJob, cache) -> "tuple[dict, str]":
-    """Run one job through the cache; returns (payload, cache status)."""
-    if cache is None:
+def _execute(job: SweepJob,
+             store: Optional[ResultCache]) -> "tuple[dict, str]":
+    """Run one job through the store (None: the sweep runs uncached);
+    returns (payload, cache status): hit, miss, invalid (a poisoned
+    entry was discarded) or off."""
+    if store is None:
         return run_job(job), OFF
-    key = job_cache_key(job)
-    status, payload = cache.get(key)
-    if status == HIT:
-        return payload, HIT
-    payload = run_job(job)
-    cache.put(key, payload)
-    return payload, status  # MISS, or INVALID (poisoned entry discarded)
+    payload, status, _ = store.get_or_compute(job_cache_key(job),
+                                              lambda: run_job(job))
+    return payload, status
 
 
 def _worker_main(worker_id: int, task_q, result_q,
@@ -118,21 +104,22 @@ def _worker_main(worker_id: int, task_q, result_q,
     Exceptions are converted to ``failed`` messages here — only a hard
     death (crash, kill, timeout termination) leaves a job unanswered.
     """
-    cache = _open_cache(cache_dir, cache_server)
+    store = (ResultCache(cache_dir, server=cache_server)
+             if cache_dir or cache_server else None)
     while True:
         item = task_q.get()
         if item is None:
-            if cache is not None:
-                cache.close()
+            if store is not None:
+                store.close()
             return
         index, job = item
         try:
-            payload, cache_status = _execute(job, cache)
+            payload, cache_status = _execute(job, store)
             result_q.put((worker_id, index, OK, payload, "", cache_status))
         except Exception as err:
             result_q.put((worker_id, index, FAILED, None,
                           f"{type(err).__name__}: {err}",
-                          MISS if cache else OFF))
+                          MISS if store is not None else OFF))
 
 
 class _WorkerHandle:
@@ -233,23 +220,24 @@ def run_jobs(
 def _run_inline(jobs: List[SweepJob], cache_dir: Optional[str],
                 cache_server: Optional[str],
                 recorder: Any) -> List[JobOutcome]:
-    cache = _open_cache(cache_dir, cache_server)
+    store = (ResultCache(cache_dir, server=cache_server)
+             if cache_dir or cache_server else None)
     outcomes: List[JobOutcome] = []
     for job in jobs:
         start = time.perf_counter()
         _span_begin(recorder, job, tid=0)
         try:
-            payload, cache_status = _execute(job, cache)
+            payload, cache_status = _execute(job, store)
             outcome = JobOutcome(job, OK, payload, "", cache_status)
         except Exception as err:
             outcome = JobOutcome(job, FAILED, None,
                                  f"{type(err).__name__}: {err}",
-                                 MISS if cache else OFF)
+                                 MISS if store is not None else OFF)
         outcome.wall_ms = (time.perf_counter() - start) * 1000.0
         _span_end(recorder, outcome, tid=0)
         outcomes.append(outcome)
-    if cache is not None:
-        cache.close()
+    if store is not None:
+        store.close()
     return outcomes
 
 

@@ -160,7 +160,13 @@ def module_closure(roots: Iterable[str],
     exists only in an edited copy) are silently skipped — the closure
     is over what is actually on disk.
     """
-    root = _package_root(root_path)
+    return _closure(roots, _package_root(root_path), {})
+
+
+def _closure(roots: Iterable[str], root: Path,
+             edges: Dict[str, List[str]]) -> Dict[str, Path]:
+    """:func:`module_closure` under ``root``, reading each module's
+    imports from ``edges`` when an earlier walk already parsed it."""
     closure: Dict[str, Path] = {}
     pending: List[str] = list(roots)
     seen: Set[str] = set()
@@ -173,14 +179,19 @@ def module_closure(roots: Iterable[str],
         if path is None:
             continue
         closure[name] = path
-        pending.extend(_imported_names(name, path, root))
+        if name not in edges:
+            edges[name] = _imported_names(name, path, root)
+        pending.extend(edges[name])
     return closure
 
 
 def fingerprint(roots: Iterable[str],
                 root_path: "str | Path | None" = None) -> str:
     """SHA-256 over the sorted (name, bytes) of a module closure."""
-    closure = module_closure(roots, root_path)
+    return _digest(module_closure(roots, root_path))
+
+
+def _digest(closure: Dict[str, Path]) -> str:
     digest = hashlib.sha256()
     for name in sorted(closure):
         digest.update(name.encode("utf-8"))
@@ -204,7 +215,11 @@ def stage_fingerprints(
     global _FINGERPRINTS
     if root_path is None and _FINGERPRINTS is not None:
         return dict(_FINGERPRINTS)
-    prints = {stage: fingerprint(STAGE_ROOTS[stage], root_path)
+    # The stages' closures overlap: parse each module once per call
+    # (never across calls, so an edited copy is always read fresh).
+    root = _package_root(root_path)
+    edges: Dict[str, List[str]] = {}
+    prints = {stage: _digest(_closure(STAGE_ROOTS[stage], root, edges))
               for stage in STAGES}
     if root_path is None:
         _FINGERPRINTS = dict(prints)

@@ -13,10 +13,10 @@ from repro.serve.cacheserver import CacheServeConfig, CacheServer
 from repro.serve.chaos import (
     FAULT_BLACKHOLE,
     FAULT_DELAY,
-    FAULT_KILL,
     FAULT_REJECT,
     FAULT_SLOW,
     FleetFaultPlan,
+    HostFaultPlan,
     RequestFaultPlan,
 )
 from repro.serve.protocol import (
@@ -43,6 +43,8 @@ from repro.serve.server import (
     NdjsonServer,
     ReproServer,
     ServeConfig,
+    SingleFlight,
+    Telemetry,
 )
 
 __all__ = [
@@ -58,10 +60,10 @@ __all__ = [
     "EXECUTORS",
     "FAULT_BLACKHOLE",
     "FAULT_DELAY",
-    "FAULT_KILL",
     "FAULT_REJECT",
     "FAULT_SLOW",
     "FleetFaultPlan",
+    "HostFaultPlan",
     "NdjsonServer",
     "OPS",
     "PROTOCOL_VERSION",
@@ -70,6 +72,8 @@ __all__ = [
     "Request",
     "RequestFaultPlan",
     "ServeConfig",
+    "SingleFlight",
+    "Telemetry",
     "decode_response",
     "encode",
     "error_response",

@@ -1,10 +1,10 @@
 """``repro cache-serve`` — the fleet-shared result-cache service.
 
 A small NDJSON/TCP server (same :class:`NdjsonServer` front, wire
-format and lifecycle as ``repro serve``) over one content-addressed
-entry store.  Sweep workers, serve shards and the router all read and
-write through it (:mod:`repro.scale.cacheclient`), so one machine's
-computation warms the whole fleet.
+format and lifecycle as ``repro serve``) over the disk tier of one
+result store.  Sweep workers, serve shards and the router reach it as
+the server tier of their own stores (:mod:`repro.scale.cache`), so one
+machine's computation warms the whole fleet.
 
 The server is deliberately dumb about *semantics*: keys are opaque
 64-hex digests minted by the clients (stage fingerprint + key
@@ -21,7 +21,7 @@ entry}`` → ``{stored}``; plus the standard ``health`` / ``stats`` /
 a cache, point ``analyze`` at ``repro serve``.
 
 Per the serve/fleet import-boundary rule, the store is opened through
-the :func:`repro.api.open_cache_store` facade; this module never
+the :func:`repro.api.open_result_store` facade; this module never
 imports the engine.
 """
 
@@ -40,7 +40,7 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
 )
-from repro.serve.server import NdjsonServer
+from repro.serve.server import NdjsonServer, Telemetry
 
 _KEY_LEN = 64
 _HEX = set("0123456789abcdef")
@@ -69,22 +69,17 @@ class CacheServer(NdjsonServer):
         super().__init__(host=config.host, port=config.port,
                          drain_timeout=config.drain_timeout)
         self.config = config
-        self._store = api.open_cache_store(config.root)
+        self.telemetry = Telemetry(config.recorder)
+        self._count = self.telemetry.count
+        self._store = api.open_result_store(config.root)
+        # One disk operation at a time: a get that discards a bad entry
+        # must not race a put of a good one into the same slot.
         self._store_lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
-        self._counters_lock = threading.Lock()
         self._draining = False
         self._started = time.perf_counter()
 
-    def _count(self, name: str, value: int = 1) -> None:
-        with self._counters_lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-        if self.config.recorder is not None:
-            self.config.recorder.count(name, value)
-
     def counters(self) -> Dict[str, int]:
-        with self._counters_lock:
-            return dict(self._counters)
+        return self.telemetry.counters()
 
     # -- request handling ---------------------------------------------------
 

@@ -1,33 +1,47 @@
-"""Chaos-mode request faults for the analysis service.
+"""Chaos-mode request faults for the hosting layers.
 
 The PR-1 fault layer perturbs the *simulated machine's* timing to
 attack the sequential-equivalence guarantee; this module applies the
-same trust-but-verify discipline to the *hosting* layer.  A seeded
-:class:`RequestFaultPlan` injects two semantics-preserving pressures in
-front of real requests:
+same trust-but-verify discipline to the *hosting* layer.  One seeded
+:class:`HostFaultPlan` reads an ordered table of fault kinds, each with
+a rate and an optional magnitude range, and is built two ways:
 
-* **reject** — the request is refused with the same structured
-  ``overloaded`` error organic backpressure produces (tagged
-  ``"fault": "inject-reject"`` so tests can tell them apart);
-* **delay** — the worker sleeps before computing, driving slow-path
-  machinery: deadline expiry, coalesced waiters timing out at
-  different moments, drain with stragglers in flight.
+* :func:`RequestFaultPlan` pressures one server's admission path:
 
-Faults never corrupt a response body: a chaos-mode server still
-returns either a correct result or a structured error — the serving
-analogue of "no silent wrong answers".
+  * **reject** — the request is refused with the same structured
+    ``overloaded`` error organic backpressure produces (tagged
+    ``"fault": "inject-reject"`` so tests can tell them apart);
+  * **delay** — the worker sleeps before computing, driving slow-path
+    machinery: deadline expiry, coalesced waiters timing out at
+    different moments, drain with stragglers in flight.
+
+* :func:`FleetFaultPlan` pressures the router → backend transport, the
+  machinery the fleet exists to survive:
+
+  * **blackhole** — the router treats the chosen backend as
+    unreachable for this send (a synthetic connect failure, consumed
+    without touching the network), driving the retry/failover path
+    and, repeated, the circuit breaker;
+  * **slow** — the send is delayed (slow-loris-shaped latency),
+    driving per-request timeouts and p99 inflation.
+
+Faults never corrupt a response body: a chaos-mode server or router
+still returns either a correct result (byte-identical modulo ``wall``
+to the one-shot CLI) or a structured error — the serving analogue of
+"no silent wrong answers".
 
 Determinism: the plan owns a private ``random.Random(seed)`` consumed
-once per admission decision in arrival order, and each kind has a
-finite budget, so a chaos smoke run is bounded and (for a fixed
-arrival order) replayable.
+once per decision in arrival order (plus one magnitude draw when a
+ranged kind fires), under a lock so concurrent connections draw from
+one stream, and one budget caps all kinds together, so a chaos smoke
+run is bounded and (for a fixed arrival order) replayable.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 FAULT_REJECT = "inject-reject"
 FAULT_DELAY = "inject-delay"
@@ -35,31 +49,26 @@ FAULT_DELAY = "inject-delay"
 #: Fleet-level (router → backend) fault kinds.
 FAULT_BLACKHOLE = "inject-blackhole"
 FAULT_SLOW = "inject-slow"
-FAULT_KILL = "inject-kill"
+
+#: One table row: kind, rate, and the (lo, hi) milliseconds a firing
+#: draws uniformly from — or None for a kind without a magnitude.
+FaultRow = Tuple[str, float, Optional[Tuple[float, float]]]
 
 
-class RequestFaultPlan:
-    """Seeded, budgeted request-fault injection for the server."""
+class HostFaultPlan:
+    """Seeded, budgeted fault injection from an ordered table.
 
-    name = "serve-mixed"
+    Each decision rolls once; the rows' rates partition [0, 1) in
+    table order, and the row the roll lands in fires."""
 
-    def __init__(
-        self,
-        seed: int,
-        reject_rate: float = 0.15,
-        delay_rate: float = 0.25,
-        delay_ms: Tuple[float, float] = (5.0, 120.0),
-        budget: int = 64,
-    ):
+    def __init__(self, name: str, seed: int, table: Sequence[FaultRow],
+                 budget: int = 64):
+        self.name = name
         self.seed = seed
-        self.reject_rate = reject_rate
-        self.delay_rate = delay_rate
-        self.delay_ms = delay_ms
+        self.table = tuple(table)
         self.budget = budget
-        self.injected: dict[str, int] = {FAULT_REJECT: 0, FAULT_DELAY: 0}
+        self.injected: dict[str, int] = {kind: 0 for kind, _, _ in table}
         self._rng = random.Random(seed)
-        # Arrival order is decided under this lock so concurrent
-        # connections draw from one deterministic stream.
         self._lock = threading.Lock()
 
     @property
@@ -67,125 +76,58 @@ class RequestFaultPlan:
         return sum(self.injected.values())
 
     def on_request(self) -> Optional[Tuple[str, float]]:
-        """Decide the fault for one arriving engine request.
-
-        Returns ``None`` (no fault), ``(FAULT_REJECT, 0)``, or
-        ``(FAULT_DELAY, milliseconds)``.
-        """
+        """Decide the fault for one arriving request (or one router
+        send): ``None``, or ``(kind, milliseconds)`` — 0 for a kind
+        without a magnitude."""
         with self._lock:
             if self.total_injected >= self.budget:
                 return None
             roll = self._rng.random()
-            if roll < self.reject_rate:
-                self.injected[FAULT_REJECT] += 1
-                return FAULT_REJECT, 0.0
-            if roll < self.reject_rate + self.delay_rate:
-                lo, hi = self.delay_ms
-                delay = self._rng.uniform(lo, hi)
-                self.injected[FAULT_DELAY] += 1
-                return FAULT_DELAY, delay
+            bound = 0.0
+            for kind, rate, span in self.table:
+                bound += rate
+                if roll < bound:
+                    value = self._rng.uniform(*span) if span else 0.0
+                    self.injected[kind] += 1
+                    return kind, value
             return None
 
     def describe(self) -> str:
-        return (
-            f"{self.name}(seed={self.seed}): "
-            f"reject@{self.reject_rate:.0%} delay@{self.delay_rate:.0%} "
-            f"{self.delay_ms[0]:.0f}-{self.delay_ms[1]:.0f}ms, "
-            f"budget {self.budget}, injected {self.total_injected} "
-            f"({self.injected[FAULT_REJECT]} reject, "
-            f"{self.injected[FAULT_DELAY]} delay)"
-        )
+        rows = " ".join(
+            f"{kind[len('inject-'):]}@{rate:.0%}"
+            + (f" {span[0]:.0f}-{span[1]:.0f}ms" if span else "")
+            for kind, rate, span in self.table)
+        counts = ", ".join(f"{n} {kind[len('inject-'):]}"
+                           for kind, n in self.injected.items())
+        return (f"{self.name}(seed={self.seed}): {rows}, "
+                f"budget {self.budget}, injected {self.total_injected} "
+                f"({counts})")
 
 
-class FleetFaultPlan:
-    """Seeded, budgeted *router-level* fault injection.
+def RequestFaultPlan(
+    seed: int,
+    reject_rate: float = 0.15,
+    delay_rate: float = 0.25,
+    delay_ms: Tuple[float, float] = (5.0, 120.0),
+    budget: int = 64,
+) -> HostFaultPlan:
+    """The server's admission faults: reject, then delay.  (Named like
+    a class: callers build a plan with it.)"""
+    return HostFaultPlan("serve-mixed", seed, (
+        (FAULT_REJECT, reject_rate, None),
+        (FAULT_DELAY, delay_rate, delay_ms),
+    ), budget)
 
-    Where :class:`RequestFaultPlan` pressures one server's admission
-    path, this plan pressures the router → backend transport — the
-    machinery the fleet exists to survive:
 
-    * **blackhole** — the router treats the chosen backend as
-      unreachable for this send (a synthetic connect failure, consumed
-      without touching the network), driving the retry/failover path
-      and, repeated, the circuit breaker;
-    * **slow** — the send is delayed (slow-loris-shaped latency),
-      driving per-request timeouts and p99 inflation;
-    * **kill** — the decision to ``kill -9`` one live backend process;
-      the plan only *decides* (returns the fault so the chaos runner,
-      which owns the subprocesses, performs the kill), keeping this
-      module free of process management.
-
-    The invariant under every one of these is the fleet contract:
-    clients still receive either a correct result (byte-identical
-    modulo ``wall`` to the one-shot CLI) or a typed error — faults may
-    move latency and routing, never answers.
-
-    Determinism matches :class:`RequestFaultPlan`: one private seeded
-    RNG consumed in send order under a lock, finite per-kind budgets.
-    """
-
-    name = "fleet-mixed"
-
-    def __init__(
-        self,
-        seed: int,
-        blackhole_rate: float = 0.10,
-        slow_rate: float = 0.10,
-        kill_rate: float = 0.0,
-        slow_ms: Tuple[float, float] = (20.0, 250.0),
-        budget: int = 64,
-    ):
-        self.seed = seed
-        self.blackhole_rate = blackhole_rate
-        self.slow_rate = slow_rate
-        self.kill_rate = kill_rate
-        self.slow_ms = slow_ms
-        self.budget = budget
-        self.injected: dict[str, int] = {
-            FAULT_BLACKHOLE: 0, FAULT_SLOW: 0, FAULT_KILL: 0,
-        }
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
-    def on_send(self, backend: str) -> Optional[Tuple[str, float]]:
-        """Decide the fault for one router → backend send.
-
-        Returns ``None``, ``(FAULT_BLACKHOLE, 0)``, ``(FAULT_SLOW,
-        milliseconds)``, or ``(FAULT_KILL, 0)``.  ``backend`` is not
-        consulted for the decision (the stream stays replayable however
-        the ring assigns owners); it exists for callers' logging.
-        """
-        del backend
-        with self._lock:
-            if self.total_injected >= self.budget:
-                return None
-            roll = self._rng.random()
-            if roll < self.blackhole_rate:
-                self.injected[FAULT_BLACKHOLE] += 1
-                return FAULT_BLACKHOLE, 0.0
-            if roll < self.blackhole_rate + self.slow_rate:
-                lo, hi = self.slow_ms
-                delay = self._rng.uniform(lo, hi)
-                self.injected[FAULT_SLOW] += 1
-                return FAULT_SLOW, delay
-            if roll < self.blackhole_rate + self.slow_rate + self.kill_rate:
-                self.injected[FAULT_KILL] += 1
-                return FAULT_KILL, 0.0
-            return None
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}(seed={self.seed}): "
-            f"blackhole@{self.blackhole_rate:.0%} "
-            f"slow@{self.slow_rate:.0%} "
-            f"{self.slow_ms[0]:.0f}-{self.slow_ms[1]:.0f}ms "
-            f"kill@{self.kill_rate:.0%}, "
-            f"budget {self.budget}, injected {self.total_injected} "
-            f"({self.injected[FAULT_BLACKHOLE]} blackhole, "
-            f"{self.injected[FAULT_SLOW]} slow, "
-            f"{self.injected[FAULT_KILL]} kill)"
-        )
+def FleetFaultPlan(
+    seed: int,
+    blackhole_rate: float = 0.10,
+    slow_rate: float = 0.10,
+    slow_ms: Tuple[float, float] = (20.0, 250.0),
+    budget: int = 64,
+) -> HostFaultPlan:
+    """The router's transport faults: blackhole, then slow."""
+    return HostFaultPlan("fleet-mixed", seed, (
+        (FAULT_BLACKHOLE, blackhole_rate, None),
+        (FAULT_SLOW, slow_rate, slow_ms),
+    ), budget)

@@ -10,10 +10,13 @@ Three layers:
   computation has given up — or every waiter's deadline has already
   expired by the time a worker picks the job up — the computation is
   cancelled before it touches the engine), **single-flight coalescing**
-  (identical in-flight requests, keyed on the content-addressed digest
-  of ``(op, params)``, compute once and fan the result out to every
-  waiter), and **graceful drain** (new engine work refused with
-  ``shutting_down``; in-flight work completes and is delivered).
+  (:class:`SingleFlight`: identical in-flight requests, keyed on the
+  content-addressed digest of ``(op, params)``, compute once and fan
+  the result out to every waiter), an optional **shared result store**
+  (with ``cache_server``, one store lookup per coalesced group, then
+  the engine, then a store of the success), and **graceful drain** (new
+  engine work refused with ``shutting_down``; in-flight work completes
+  and is delivered).
 
   Two executors host the actual engine call.  The default ``thread``
   executor computes inline on the pool thread — cheap, but CPU-bound
@@ -26,7 +29,7 @@ Three layers:
 * :class:`NdjsonServer` — a reusable NDJSON/TCP front: one reader
   thread per connection, one request processed per connection at a
   time, responses written in request order, graceful drain.  The shard
-  router (:mod:`repro.fleet.router`) subclasses it.
+  router (:mod:`repro.fleet.router`) and the cache server subclass it.
 * :class:`ReproServer` — the NDJSON front bound to an
   :class:`AnalysisService` (the ``repro serve`` process).
 
@@ -34,7 +37,7 @@ Correctness contract: a response body is exactly the facade result's
 ``to_dict()``, so a served answer is byte-identical (modulo ``wall``)
 to a single-shot ``repro <op> --json`` invocation — the hosting layer
 preserves the engine's output-equivalence guarantee *whatever the
-executor*.  Coalescing is sound for the same reason the result cache
+executor*.  Coalescing is sound for the same reason the result store
 is: facade calls are deterministic modulo wall, so one computation
 *is* every identical computation.
 
@@ -43,14 +46,15 @@ Because all thread-executor requests share one process, the
 warm across requests; process-executor workers are forked from the
 serving process and inherit whatever was warm at spawn time.
 
-Observability: with a recorder attached the service emits
-``serve.request`` spans on the ``PID_SERVE`` track (one lane per pool
-thread) and ``serve.request.*`` counters; the same counters back the
-``stats`` op, which also surfaces queue-wait aggregates (how long
-accepted requests sat in admission before a worker picked them up).
-Chaos mode (:mod:`repro.serve.chaos`) injects seeded rejections and
-delays in front of real work to exercise the backpressure and deadline
-paths.
+Observability: every server (this service, the router, the cache
+server) keeps its counters in one :class:`Telemetry`.  With a recorder
+attached the service emits ``serve.request`` spans on the
+``PID_SERVE`` track (one lane per pool thread) and ``serve.request.*``
+counters; the same counters back the ``stats`` op, which also surfaces
+queue-wait aggregates (how long accepted requests sat in admission
+before a worker picked them up).  Chaos mode (:mod:`repro.serve.chaos`)
+injects seeded rejections and delays in front of real work to exercise
+the backpressure and deadline paths.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import api
-from repro.serve.chaos import FAULT_REJECT, RequestFaultPlan
+from repro.obs.recorder import PID_SERVE
+from repro.serve.chaos import FAULT_REJECT, HostFaultPlan
 from repro.serve.protocol import (
     CONTROL_OPS,
     ERR_BAD_REQUEST,
@@ -97,7 +102,7 @@ class ServeConfig:
     default_deadline_ms: float = 30_000.0
     drain_timeout: float = 30.0
     executor: str = EXECUTOR_THREAD  # "thread" | "process"
-    chaos: Optional[RequestFaultPlan] = None
+    chaos: Optional[HostFaultPlan] = None
     recorder: Any = None
     #: ``host:port`` of a ``repro cache-serve`` instance.  Engine
     #: results are looked up there before computing and published
@@ -106,24 +111,123 @@ class ServeConfig:
     cache_server: Optional[str] = None
 
 
-class _Flight:
-    """One in-flight computation; every coalesced waiter shares it."""
+class Flight:
+    """The record of one in-flight computation in a :class:`SingleFlight`."""
 
-    __slots__ = ("key", "op", "event", "cancel", "waiters", "outcome",
+    __slots__ = ("key", "event", "cancel", "waiters", "outcome",
                  "submitted", "latest_deadline")
 
-    def __init__(self, key: str, op: str, deadline_end: float):
+    def __init__(self, key: str, deadline_end: float):
         self.key = key
-        self.op = op
         self.event = threading.Event()
         self.cancel = threading.Event()
         self.waiters = 1
-        # (True, result_dict) | (False, error_code, message)
         self.outcome: Optional[Tuple] = None
         self.submitted = time.perf_counter()
         # The latest deadline over every waiter: when it has passed,
         # nobody can still use the result — the compute is doomed.
         self.latest_deadline = deadline_end
+
+
+class SingleFlight:
+    """Single-flight: concurrent identical requests share one computation.
+
+    A request joins the flight open for its key or opens one and leads
+    it.  Every joined request waits for the outcome bounded by its own
+    deadline, and the last waiter to give up on an unfinished flight
+    sets ``flight.cancel``.  The outcome is opaque here: each waiter
+    builds its own response (own request id, own wall time) from
+    whatever the leader publishes.  The service and the shard router
+    both coalesce through this class; whether opening a flight takes
+    an admission slot is the ``admit`` callback of :meth:`join`.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._flights: Dict[str, Flight] = {}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._flights)
+
+    def join(self, key: str, deadline_end: float,
+             admit: Optional[Callable[[], bool]] = None
+             ) -> Tuple[Optional[Flight], bool]:
+        """Join the flight for ``key``, or open one if ``admit()``
+        (called under the table lock) allows.  Returns ``(flight,
+        leader)``, or ``(None, True)`` when admission refused it."""
+        with self._lock:
+            flight = self._flights.get(key)
+            if flight is not None:
+                flight.waiters += 1
+                flight.latest_deadline = max(flight.latest_deadline,
+                                             deadline_end)
+                return flight, False
+            if admit is not None and not admit():
+                return None, True
+            flight = self._flights[key] = Flight(key, deadline_end)
+            return flight, True
+
+    def wait(self, flight: Flight, deadline_end: float) -> Optional[Tuple]:
+        """Block until the outcome is published or ``deadline_end``
+        passes; returns the outcome, or None when this waiter gave up."""
+        finished = flight.event.wait(max(0.0,
+                                         deadline_end - time.perf_counter()))
+        with self._lock:
+            flight.waiters -= 1
+            if flight.waiters == 0 and not flight.event.is_set():
+                # Nobody is waiting any more: cancel the compute
+                # cooperatively.
+                flight.cancel.set()
+        return flight.outcome if finished else None
+
+    def publish(self, flight: Flight, outcome: Tuple) -> None:
+        """Retire the flight and wake every waiter with ``outcome``."""
+        with self._lock:
+            self._flights.pop(flight.key, None)
+            flight.outcome = outcome
+        flight.event.set()
+
+
+class Telemetry:
+    """One server's counters, span lanes and spans, under one lock.
+
+    Counts go to the recorder (when one is attached) inside the lock,
+    in the order they were made.  ``span`` names the events a server
+    emits on track ``pid``, one lane per thread (:meth:`track`)."""
+
+    def __init__(self, recorder: Any = None, span: str = "",
+                 pid: int = 0):
+        self.recorder = recorder
+        self._span_name = span
+        self._pid = pid
+        self.lock = threading.Lock()
+        self._counters: Dict[str, int] = {}
+        self._tids: Dict[int, int] = {}
+
+    def count(self, name: str, n: int = 1) -> None:
+        with self.lock:
+            self._counters[name] = self._counters.get(name, 0) + n
+            if self.recorder is not None:
+                self.recorder.count(name, n)
+
+    def counters(self) -> Dict[str, int]:
+        with self.lock:
+            return dict(sorted(self._counters.items()))
+
+    def track(self) -> int:
+        """Dense per-thread lane id for this server's track."""
+        ident = threading.get_ident()
+        with self.lock:
+            return self._tids.setdefault(ident, len(self._tids))
+
+    def span(self, ph: str, tid: int, args: Optional[dict] = None) -> None:
+        if self.recorder is None:
+            return
+        with self.lock:
+            self.recorder.event(self._span_name,
+                                self._span_name.partition(".")[0], ph=ph,
+                                pid=self._pid, tid=tid, args=args or {})
 
 
 def engine_call(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -175,6 +279,9 @@ class AnalysisService:
                 f"choose from: {', '.join(EXECUTORS)}"
             )
         self.config = config
+        self.telemetry = Telemetry(config.recorder, "serve.request",
+                                   PID_SERVE)
+        self._count = self.telemetry.count
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-serve"
         )
@@ -188,69 +295,39 @@ class AnalysisService:
                 workers=config.workers,
                 on_count=self._count,
             )
-        self._op_cache = None
+        self._store = None
         if config.cache_server:
-            self._op_cache = api.open_op_cache(config.cache_server)
+            self._store = api.open_result_store(server=config.cache_server)
         self._slots = threading.Semaphore(config.workers + config.backlog)
-        self._flights: Dict[str, _Flight] = {}
-        self._flights_lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
-        self._obs_lock = threading.Lock()
-        self._tids: Dict[int, int] = {}
+        self._flights = SingleFlight()
         self._queue_wait = {"count": 0, "total_ms": 0.0, "max_ms": 0.0}
         self._draining = False
         self._started = time.perf_counter()
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._obs_lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-            if self.config.recorder is not None:
-                self.config.recorder.count(name, n)
-
     def _observe_queue_wait(self, waited_ms: float) -> None:
-        with self._obs_lock:
+        with self.telemetry.lock:
             stats = self._queue_wait
             stats["count"] += 1
             stats["total_ms"] += waited_ms
             stats["max_ms"] = max(stats["max_ms"], waited_ms)
 
-    def _track(self) -> int:
-        """Dense per-pool-thread track id for the PID_SERVE lane."""
-        ident = threading.get_ident()
-        with self._obs_lock:
-            if ident not in self._tids:
-                self._tids[ident] = len(self._tids)
-            return self._tids[ident]
-
-    def _span(self, ph: str, tid: int, args: Optional[dict] = None) -> None:
-        recorder = self.config.recorder
-        if recorder is None:
-            return
-        from repro.obs.recorder import PID_SERVE
-
-        with self._obs_lock:
-            recorder.event("serve.request", "serve", ph=ph,
-                           pid=PID_SERVE, tid=tid, args=args or {})
-
     @property
     def in_flight(self) -> int:
-        with self._flights_lock:
-            return len(self._flights)
+        return len(self._flights)
 
     @property
     def draining(self) -> bool:
         return self._draining
 
     def counters(self) -> Dict[str, int]:
-        with self._obs_lock:
-            return dict(sorted(self._counters.items()))
+        return self.telemetry.counters()
 
     def queue_wait_stats(self) -> Dict[str, float]:
         """Aggregate admission-queue wait: how long accepted engine
         requests sat before a worker started computing them."""
-        with self._obs_lock:
+        with self.telemetry.lock:
             stats = dict(self._queue_wait)
         count = stats.pop("count")
         return {
@@ -305,50 +382,38 @@ class AnalysisService:
                       else self.config.default_deadline_ms) / 1000.0
         deadline_end = start + deadline_s
         key = api.content_digest({"op": request.op, "params": request.params})
-        with self._flights_lock:
-            flight = self._flights.get(key)
-            if flight is not None:
-                flight.waiters += 1
-                flight.latest_deadline = max(flight.latest_deadline,
-                                             deadline_end)
-                self._count("serve.request.coalesced")
-            else:
-                if not self._slots.acquire(blocking=False):
-                    self._count("serve.request.rejected")
-                    return error_response(
-                        request.id, ERR_OVERLOADED,
-                        f"admission queue full "
-                        f"({self.config.workers} worker(s) + "
-                        f"{self.config.backlog} queued); retry later",
-                        (time.perf_counter() - start) * 1000.0,
-                    )
-                flight = _Flight(key, request.op, deadline_end)
-                self._flights[key] = flight
-                self._count("serve.request.accepted")
-                self._executor.submit(self._compute, flight,
-                                      dict(request.params), delay_ms)
-        finished = flight.event.wait(max(0.0,
-                                         deadline_end - time.perf_counter()))
-        if not finished:
-            with self._flights_lock:
-                flight.waiters -= 1
-                if flight.waiters == 0 and not flight.event.is_set():
-                    # Nobody is waiting any more: cancel the compute
-                    # cooperatively (it checks before touching the
-                    # engine, and the process executor terminates a
-                    # worker already computing).
-                    flight.cancel.set()
+        # A coalesced request joins without taking an admission slot.
+        flight, leader = self._flights.join(
+            key, deadline_end,
+            admit=lambda: self._slots.acquire(blocking=False))
+        if flight is None:
+            self._count("serve.request.rejected")
+            return error_response(
+                request.id, ERR_OVERLOADED,
+                f"admission queue full "
+                f"({self.config.workers} worker(s) + "
+                f"{self.config.backlog} queued); retry later",
+                (time.perf_counter() - start) * 1000.0,
+            )
+        if leader:
+            self._count("serve.request.accepted")
+            self._executor.submit(self._compute, flight, request.op,
+                                  dict(request.params), delay_ms)
+        else:
+            self._count("serve.request.coalesced")
+        # A waiter whose deadline passes leaves; the last one to leave
+        # cancels the compute (it checks before touching the engine,
+        # and the process executor terminates a worker already
+        # computing).
+        outcome = self._flights.wait(flight, deadline_end)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        if outcome is None:
             self._count("serve.request.deadline_exceeded")
             return error_response(
                 request.id, ERR_DEADLINE,
                 f"deadline of {deadline_s * 1000.0:.0f}ms exceeded",
-                (time.perf_counter() - start) * 1000.0,
+                wall_ms,
             )
-        with self._flights_lock:
-            flight.waiters -= 1
-        outcome = flight.outcome
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        assert outcome is not None
         if outcome[0]:
             self._count("serve.request.ok")
             return ok_response(request.id, request.op, outcome[1], wall_ms)
@@ -358,13 +423,13 @@ class AnalysisService:
 
     # -- the pool side -----------------------------------------------------
 
-    def _compute(self, flight: _Flight, params: Dict[str, Any],
+    def _compute(self, flight: Flight, op: str, params: Dict[str, Any],
                  delay_ms: float) -> None:
-        tid = self._track()
+        tid = self.telemetry.track()
         queued_ms = (time.perf_counter() - flight.submitted) * 1000.0
         self._observe_queue_wait(queued_ms)
-        self._span("B", tid, {"op": flight.op, "key": flight.key[:12],
-                              "queued_ms": round(queued_ms, 3)})
+        self.telemetry.span("B", tid, {"op": op, "key": flight.key[:12],
+                                       "queued_ms": round(queued_ms, 3)})
         status = "ok"
         try:
             if delay_ms:
@@ -387,8 +452,21 @@ class AnalysisService:
                 outcome = (False, ERR_DEADLINE,
                            "not executed: request deadline expired "
                            "while queued in admission")
+            elif self._store is None:
+                outcome = (True, self._engine_call(op, params,
+                                                   flight.cancel))
             else:
-                outcome = (True, self._cached_engine_call(flight, params))
+                # One store round trip per coalesced group, inside the
+                # flight: a hit still holds this flight's slot.
+                def miss() -> Dict[str, Any]:
+                    self._count("serve.cache.misses")
+                    return self._engine_call(op, params, flight.cancel)
+
+                result, _, tier = self._store.get_or_compute(
+                    api.op_cache_key(op, params), miss)
+                if tier is not None:
+                    self._count("serve.cache.hits")
+                outcome = (True, result)
         except api.ApiError as err:
             status = err.code
             code = err.code if err.code in ERROR_CODES else ERR_INTERNAL
@@ -401,43 +479,16 @@ class AnalysisService:
             outcome = (False, ERR_INTERNAL,
                        f"{type(err).__name__}: {err}")
         finally:
-            with self._flights_lock:
-                del self._flights[flight.key]
-                flight.outcome = outcome
-            flight.event.set()
+            self._flights.publish(flight, outcome)
             self._slots.release()
-            self._span("E", tid, {"op": flight.op, "status": status})
+            self.telemetry.span("E", tid, {"op": op, "status": status})
 
-    def _cached_engine_call(self, flight: _Flight,
-                            params: Dict[str, Any]) -> Dict[str, Any]:
-        """The engine call behind the shared cache (when configured).
-
-        The lookup runs *inside* the flight, after admission — so one
-        network round-trip per coalesced group, and a hit still counts
-        as this shard's computation for coalescing/slot purposes.  The
-        op-cache client never raises; a sick cache tier degrades to
-        computing.
-        """
-        cache = self._op_cache
-        if cache is None:
-            return self._engine_call(flight, params)
-        key = cache.key(flight.op, params)
-        result = cache.get(flight.op, params, key)
-        if result is not None:
-            self._count("serve.cache.hits")
-            return result
-        self._count("serve.cache.misses")
-        result = self._engine_call(flight, params)
-        cache.put(flight.op, params, result, key)
-        return result
-
-    def _engine_call(self, flight: _Flight,
-                     params: Dict[str, Any]) -> Dict[str, Any]:
+    def _engine_call(self, op: str, params: Dict[str, Any],
+                     cancel: threading.Event) -> Dict[str, Any]:
         """Execute the engine op on the configured executor."""
         if self._engine is not None:
-            return self._engine.call(flight.op, params,
-                                     cancel=flight.cancel)
-        return engine_call(flight.op, params)
+            return self._engine.call(op, params, cancel=cancel)
+        return engine_call(op, params)
 
     def _health(self) -> Dict[str, Any]:
         return {
@@ -483,8 +534,8 @@ class AnalysisService:
         self._executor.shutdown(wait=True)
         if self._engine is not None:
             self._engine.close()
-        if self._op_cache is not None:
-            self._op_cache.close()
+        if self._store is not None:
+            self._store.close()
 
     def close(self) -> None:
         self.drain()

@@ -1,8 +1,11 @@
-"""The fleet-shared cache service and its degradation contract.
+"""The fleet-shared cache service, the tiered result store, and their
+degradation contract.
 
 One ``repro cache-serve`` process fronts the entry store for sweep
-workers, serve shards and the router.  These tests pin the three
-properties operations relies on (docs/operations.md):
+workers, serve shards and the router, each reaching it as the server
+tier of its own :class:`ResultCache`.  These tests pin the store's
+contract over every tier set its callers use, and the three properties
+operations relies on (docs/operations.md):
 
 * **Shared**: a second machine (distinct local cache dir) hits over
   the network on what the first machine computed.
@@ -15,17 +18,24 @@ properties operations relies on (docs/operations.md):
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.scale.cache import HIT, MISS, ResultCache, cache_key, make_entry
+from repro import api
+from repro.scale.cache import (
+    HIT,
+    INVALID,
+    MISS,
+    ResultCache,
+    cache_key,
+    make_entry,
+)
 from repro.scale.cacheclient import (
     CacheTransportError,
-    NetworkCache,
-    OpCache,
     _ServerLink,
     parse_server,
 )
@@ -53,6 +63,135 @@ def server(tmp_path):
 def _spec(srv: CacheServer) -> str:
     host, port = srv.address
     return f"{host}:{port}"
+
+
+def _dead_spec() -> str:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{probe.getsockname()[1]}"
+
+
+def _tampered(key):
+    entry = make_entry(key, PAYLOAD)
+    entry["payload"] = {"result": 666}  # hash no longer matches
+    return entry
+
+
+class TestStoreContract:
+    """One store, every tier set a caller opens: the router's memory
+    tier (alone or over the server), serve's server tier, the sweep's
+    directory (alone or over the server)."""
+
+    @pytest.mark.parametrize("tiers", [
+        ("memory",), ("disk",), ("server",), ("disk", "server"),
+        ("memory", "server"),
+    ], ids="+".join)
+    def test_contract(self, tiers, server, tmp_path):
+        def store(*only, spec=_spec(server)):
+            only = only or tiers
+            return ResultCache(
+                tmp_path / "disk" if "disk" in only else None,
+                server=spec if "server" in only else None,
+                memory_size=8 if "memory" in only else 0,
+                connect_timeout_s=0.2)
+
+        computed = []
+
+        def compute(payload=PAYLOAD):
+            computed.append(payload)
+            return payload
+
+        # Miss, compute, then a hit from the fastest tier.
+        cache = store()
+        key = cache_key({"k": "contract"})
+        assert cache.get_or_compute(key, compute) == (PAYLOAD, MISS, None)
+        assert cache.get_or_compute(key, compute) == (PAYLOAD, HIT,
+                                                      tiers[0])
+        assert len(computed) == 1
+
+        # A hit from the slowest tier is written through to the faster.
+        if len(tiers) > 1:
+            key = cache_key({"k": "write-through"})
+            store(tiers[-1]).put(key, PAYLOAD)
+            assert cache.lookup(key) == (HIT, PAYLOAD, tiers[-1])
+            for faster in tiers[:-1]:
+                assert cache.lookup(key, (faster,)) == (HIT, PAYLOAD,
+                                                        faster)
+
+        # A poisoned entry in either persistent tier reads as a miss
+        # and is recomputed.
+        roots = {"disk": tmp_path / "disk",
+                 "server": tmp_path / "server-root"}
+        for tier in (t for t in tiers if t in roots):
+            key = cache_key({"k": "poisoned", "tier": tier})
+            path = ResultCache(roots[tier]).path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(_tampered(key)), encoding="utf-8")
+            fresh = {"result": tier}
+            payload, status, answered = cache.get_or_compute(
+                key, lambda: compute(fresh))
+            assert (payload, answered) == (fresh, None)
+            # The disk tier deletes a bad entry (invalid); the server
+            # refuses to serve one (a plain miss).
+            assert status == (INVALID if tier == "disk" else MISS)
+            assert cache.get(key) == (HIT, fresh)
+
+        # A failed compute stores nothing, in any tier.
+        key = cache_key({"k": "failed"})
+
+        def boom():
+            raise RuntimeError("engine failed")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_compute(key, boom)
+        for tier in tiers:
+            assert cache.lookup(key, (tier,)) == (MISS, None, None)
+
+        # A dead server falls back to the other tiers.
+        if "server" in tiers:
+            dead = store(spec=_dead_spec())
+            key = cache_key({"k": "server down"})
+            assert dead.get_or_compute(key, compute)[1] == MISS
+            assert dead.stats()["remote_errors"] >= 1
+            again = dead.get_or_compute(key, compute)
+            rest = [t for t in tiers if t != "server"]
+            assert again[2] == (rest[0] if rest else None)
+
+    def test_threads_share_one_store(self, tmp_path):
+        # The router's routing threads share one memory tier and one
+        # set of counters: no lookup, store or entry may be lost.
+        import sys
+
+        cache = ResultCache(tmp_path / "disk", memory_size=16)
+        keys = [cache_key({"k": i}) for i in range(24)]
+        wrong = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def caller(n):
+                for i, key in enumerate(keys):
+                    payload, _, _ = cache.get_or_compute(
+                        key, lambda i=i: {"i": i})
+                    if payload != {"i": i}:
+                        wrong.append((n, i))
+
+            threads = [threading.Thread(target=caller, args=(n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert len(cache) <= 16
+        stats = cache.stats()
+        # Every lookup that reached the disk counted once; every miss
+        # stored once.
+        assert stats["misses"] == stats["stores"]
+        assert stats["hits"] + stats["misses"] + stats["invalid"] <= 8 * 24
+        assert len(list((tmp_path / "disk").rglob("*.json"))) == 24
 
 
 class TestWire:
@@ -114,18 +253,18 @@ class TestWire:
 class TestTwoTier:
     def test_second_machine_hits_over_the_network(self, server, tmp_path):
         spec = _spec(server)
-        machine_a = NetworkCache(spec, tmp_path / "a")
-        machine_b = NetworkCache(spec, tmp_path / "b")
+        machine_a = ResultCache(tmp_path / "a", server=spec)
+        machine_b = ResultCache(tmp_path / "b", server=spec)
         key = cache_key({"k": "shared"})
         machine_a.put(key, PAYLOAD)
         status, payload = machine_b.get(key)
         assert (status, payload) == (HIT, PAYLOAD)
         assert machine_b.remote_hits == 1
         # The hit wrote through: next read is local, no network.
-        assert machine_b.local.get(key) == (HIT, PAYLOAD)
+        assert ResultCache(tmp_path / "b").get(key) == (HIT, PAYLOAD)
 
     def test_no_local_tier_still_works(self, server):
-        cache = NetworkCache(_spec(server))
+        cache = ResultCache(server=_spec(server))
         key = cache_key({"k": "serveronly"})
         assert cache.get(key) == (MISS, None)
         cache.put(key, PAYLOAD)
@@ -135,8 +274,9 @@ class TestTwoTier:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             dead_port = probe.getsockname()[1]
-        cache = NetworkCache(f"127.0.0.1:{dead_port}", tmp_path / "local",
-                             connect_timeout_s=0.2)
+        cache = ResultCache(tmp_path / "local",
+                            server=f"127.0.0.1:{dead_port}",
+                            connect_timeout_s=0.2)
         key = cache_key({"k": "offline"})
         assert cache.get(key) == (MISS, None)
         assert cache.server_up() is False  # marked down, in cooldown
@@ -147,9 +287,9 @@ class TestTwoTier:
 
     def test_down_cooldown_skips_the_network(self, tmp_path):
         now = [0.0]
-        cache = NetworkCache("127.0.0.1:1", tmp_path / "local",
-                             connect_timeout_s=0.2, retry_after_s=30.0,
-                             clock=lambda: now[0])
+        cache = ResultCache(tmp_path / "local", server="127.0.0.1:1",
+                            connect_timeout_s=0.2, retry_after_s=30.0,
+                            clock=lambda: now[0])
         cache._mark_down()
         calls = []
         cache._link.call = lambda *a, **k: calls.append(a) or (_ for _ in
@@ -168,7 +308,6 @@ class TestTwoTier:
         entry = make_entry(key, PAYLOAD)
         entry["payload"] = {"result": 666}
 
-        import json
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen(4)
@@ -191,33 +330,43 @@ class TestTwoTier:
         thread = threading.Thread(target=poisoned, daemon=True)
         thread.start()
         try:
-            cache = NetworkCache(f"127.0.0.1:{port}", tmp_path / "local")
+            cache = ResultCache(tmp_path / "local",
+                                server=f"127.0.0.1:{port}")
             status, payload = cache.get(key)
             assert (status, payload) == (MISS, None)
             assert cache.remote_invalid == 1
             assert cache.server_up() is True  # answered; not marked down
             # Nothing poisoned wrote through to the local tier.
-            assert cache.local.get(key) == (MISS, None)
+            assert ResultCache(tmp_path / "local").get(key) == (MISS, None)
         finally:
             stop.set()
             thread.join(timeout=2)
             listener.close()
 
 
+def _op_get(store, op, params):
+    """A facade op's stored result through ``store``, or None."""
+    return store.get(api.op_cache_key(op, params))[1]
+
+
 class TestOpCache:
+    """Facade-op results keyed by ``api.op_cache_key`` (what serve shards
+    and the router store) through a server-only store."""
+
     def test_round_trip_and_stage_keying(self, server):
-        ops = OpCache(_spec(server))
+        ops = api.open_result_store(server=_spec(server))
         params = {"source": "(defun f (x) x)", "function": "f"}
-        assert ops.get("analyze", params) is None
-        ops.put("analyze", params, PAYLOAD)
-        assert ops.get("analyze", params) == PAYLOAD
+        assert _op_get(ops, "analyze", params) is None
+        ops.put(api.op_cache_key("analyze", params), PAYLOAD)
+        assert _op_get(ops, "analyze", params) == PAYLOAD
         # Same params, different op → different stage key space.
-        assert ops.get("transform", params) is None
+        assert _op_get(ops, "transform", params) is None
 
     def test_never_raises_on_dead_server(self):
-        ops = OpCache("127.0.0.1:1", connect_timeout_s=0.2)
-        assert ops.get("analyze", {"x": 1}) is None
-        ops.put("analyze", {"x": 1}, PAYLOAD)  # must not raise
+        ops = ResultCache(server="127.0.0.1:1", connect_timeout_s=0.2)
+        assert _op_get(ops, "analyze", {"x": 1}) is None
+        ops.put(api.op_cache_key("analyze", {"x": 1}),
+                PAYLOAD)  # must not raise
         assert ops.stats()["remote_errors"] >= 1
 
 
@@ -298,12 +447,12 @@ class TestKeptLink:
         srv = _serve(_CountingServer(
             CacheServeConfig(root=str(tmp_path / "root"))))
         try:
-            ops = OpCache(_spec(srv))
+            ops = ResultCache(server=_spec(srv))
             for i in range(10):
                 params = {"source": f"(defun f (x) {i})", "function": "f"}
-                assert ops.get("analyze", params) is None
-                ops.put("analyze", params, PAYLOAD)
-                assert ops.get("analyze", params) == PAYLOAD
+                assert _op_get(ops, "analyze", params) is None
+                ops.put(api.op_cache_key("analyze", params), PAYLOAD)
+                assert _op_get(ops, "analyze", params) == PAYLOAD
             assert srv.accepted == 1
             assert ops.stats()["remote_errors"] == 0
             ops.close()
@@ -314,7 +463,7 @@ class TestKeptLink:
         root = str(tmp_path / "root")
         first = _serve(CacheServer(CacheServeConfig(root=root)))
         host, port = first.address
-        cache = NetworkCache(f"{host}:{port}")
+        cache = ResultCache(server=f"{host}:{port}")
         key = cache_key({"k": "restart"})
         cache.put(key, PAYLOAD)
         assert cache.stats()["remote_stores"] == 1
@@ -335,7 +484,7 @@ class TestKeptLink:
 
         srv = _serve(_CountingServer(
             CacheServeConfig(root=str(tmp_path / "root"))))
-        ops = OpCache(_spec(srv))
+        ops = ResultCache(server=_spec(srv))
         wrong = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -343,8 +492,9 @@ class TestKeptLink:
             def caller(n):
                 for i in range(15):
                     params = {"caller": n, "i": i}
-                    ops.put("analyze", params, {"n": n, "i": i})
-                    if ops.get("analyze", params) != {"n": n, "i": i}:
+                    ops.put(api.op_cache_key("analyze", params),
+                            {"n": n, "i": i})
+                    if _op_get(ops, "analyze", params) != {"n": n, "i": i}:
                         wrong.append((n, i))
 
             threads = [threading.Thread(target=caller, args=(n,))
@@ -425,7 +575,8 @@ class TestConnectionThreads:
 
 
 class TestServeThroughCache:
-    def test_one_key_and_one_connection_per_miss(self, tmp_path):
+    def test_one_key_and_one_connection_per_miss(self, tmp_path,
+                                                 monkeypatch):
         from repro.serve import AnalysisService, Request, ServeConfig
 
         srv = _serve(_CountingServer(
@@ -433,9 +584,11 @@ class TestServeThroughCache:
         service = AnalysisService(ServeConfig(workers=1,
                                               cache_server=_spec(srv)))
         keys = []
-        op_cache = service._op_cache
-        compute_key = op_cache.key
-        op_cache.key = lambda *a: keys.append(a) or compute_key(*a)
+        store = service._store
+        compute_key = api.op_cache_key
+        monkeypatch.setattr(
+            api, "op_cache_key",
+            lambda *a: keys.append(a) or compute_key(*a))
         try:
             params = {"source": "(defun f (x) x)", "function": "f"}
             for _ in range(2):  # a miss (get + put), then a hit
@@ -448,4 +601,4 @@ class TestServeThroughCache:
         finally:
             service.close()
             srv.stop(timeout=10)
-        assert op_cache.cache._link._idle == []  # drain closed the link
+        assert store._link._idle == []  # drain closed the link

@@ -1,8 +1,8 @@
 """The shard router end-to-end (in-process backends): routing parity,
-the response cache, single-flight stampede coalescing, failover around
-a dead backend, circuit breaking, sequential fallback, graceful
-backend bleed with automatic rejoin, the fleet-shared cache, and
-blackhole chaos."""
+the memory tier of its result store, single-flight stampede
+coalescing, failover around a dead backend, circuit breaking,
+sequential fallback, graceful backend bleed with automatic rejoin, the
+fleet-shared cache, and blackhole chaos."""
 
 from __future__ import annotations
 
@@ -14,12 +14,7 @@ import pytest
 
 from repro import api
 from repro.fleet.client import BackendClient, BackendError
-from repro.fleet.router import (
-    RouterConfig,
-    ShardRouter,
-    _RouteFlight,
-    parse_backend,
-)
+from repro.fleet.router import RouterConfig, ShardRouter, parse_backend
 from repro.serve import FleetFaultPlan, ReproServer, Request, ServeConfig
 from repro.serve.server import engine_call
 from tests.blockers import SPIN_SRC, spins_for
@@ -151,7 +146,7 @@ class TestResponseCache:
         try:
             for variant in range(4):
                 f.call("analyze", analyze_params(variant))
-            assert len(f.router._cache) <= 2
+            assert len(f.router._store) <= 2
         finally:
             f.close()
 
@@ -160,6 +155,74 @@ class TestResponseCache:
             response = fleet.call("analyze", {"source": FIG5})
             assert response["error"]["code"] == "bad_request"
         assert fleet.router.counters().get("fleet.cache.hits", 0) == 0
+
+
+class TestEventLoopNeverRoutes:
+    """The event loop answers a memory-tier hit with the payload its one
+    lookup returned; everything else goes to the routing pool.  So no
+    backend call runs on the event-loop thread, even when another
+    thread evicts the entry between the lookup and the answer."""
+
+    def test_eviction_after_the_lookup_still_answers_inline(self):
+        f = Fleet(backends=1)
+        sends = []
+        send = f.router._send
+        f.router._send = lambda *a: (sends.append(threading.current_thread())
+                                     or send(*a))
+        store = f.router._store
+        lookup = store.lookup
+
+        def lookup_then_evict(key, tiers=("memory", "disk", "server")):
+            found = lookup(key, tiers)
+            if found[1] is not None:
+                with store._lock:
+                    store._memory.clear()  # another thread's eviction
+            return found
+
+        store.lookup = lookup_then_evict
+        try:
+            params = analyze_params()
+            first = f.call("analyze", dict(params))
+            second = f.call("analyze", dict(params))
+            assert first["ok"] and second["ok"]
+            assert api.canonical_json(api.strip_wall(first["result"])) == \
+                api.canonical_json(api.strip_wall(second["result"]))
+            assert len(sends) == 1  # the miss; the hit sent nothing
+            assert f.router_thread not in sends
+            assert f.router.counters()["fleet.cache.hits"] == 1
+        finally:
+            f.close()
+
+
+class TestFingerprintsOffTheRequestPath:
+    def test_computed_once_when_the_store_opens(self, monkeypatch):
+        # Store keys hash the stage fingerprints.  A router without a
+        # store never walks the code; one with a store walks it while
+        # opening the store, and never while serving.
+        from repro.scale import fingerprint
+
+        walks = []
+        closure = fingerprint._closure
+        monkeypatch.setattr(fingerprint, "_FINGERPRINTS", None)
+        monkeypatch.setattr(
+            fingerprint, "_closure",
+            lambda *a: walks.append(threading.current_thread())
+            or closure(*a))
+        bare = Fleet(backends=1, cache_size=0)
+        try:
+            assert bare.call("analyze", analyze_params())["ok"]
+        finally:
+            bare.close()
+        assert walks == []
+        f = Fleet(backends=1)
+        try:
+            opened = len(walks)
+            assert opened and set(walks) == {threading.current_thread()}
+            for _ in range(2):
+                assert f.call("analyze", analyze_params())["ok"]
+            assert len(walks) == opened
+        finally:
+            f.close()
 
 
 def _variants_owned_by(fleet, backend, count):
@@ -310,8 +373,7 @@ class TestSingleFlight:
         # open for the key; the waiter blocks until the leader
         # publishes, then builds its own response.
         router = ShardRouter(RouterConfig(backends=()))
-        flight = _RouteFlight()
-        router._flights["k" * 64] = flight
+        flight, _ = router._flights.join("k" * 64, time.perf_counter())
         out = {}
 
         def waiter():
@@ -325,8 +387,7 @@ class TestSingleFlight:
         thread.start()
         time.sleep(0.05)
         assert "reply" not in out  # genuinely blocked on the flight
-        flight.outcome = ("ok", {"kind": "feedback"})
-        flight.event.set()
+        router._flights.publish(flight, ("ok", {"kind": "feedback"}))
         thread.join(timeout=5)
         response, route = out["reply"]
         assert response["ok"] is True
@@ -336,7 +397,8 @@ class TestSingleFlight:
 
     def test_waiter_deadline_is_its_own(self):
         router = ShardRouter(RouterConfig(backends=()))
-        flight = _RouteFlight()  # never published
+        flight, _ = router._flights.join(
+            "k" * 64, time.perf_counter())  # never published
         response, route = router._await_flight(
             flight, Request(id="w2", op="analyze", params={},
                             deadline_ms=50.0),
@@ -347,9 +409,8 @@ class TestSingleFlight:
 
     def test_leader_error_propagates_to_waiters(self):
         router = ShardRouter(RouterConfig(backends=()))
-        flight = _RouteFlight()
-        flight.outcome = ("error", "engine_error", "boom")
-        flight.event.set()
+        flight, _ = router._flights.join("k" * 64, time.perf_counter())
+        router._flights.publish(flight, ("error", "engine_error", "boom"))
         response, route = router._await_flight(
             flight, Request(id="w3", op="analyze", params={},
                             deadline_ms=1_000.0),
@@ -522,8 +583,8 @@ class TestChaosBlackhole:
     def test_fault_stream_is_deterministic(self):
         a = FleetFaultPlan(seed=42, budget=32)
         b = FleetFaultPlan(seed=42, budget=32)
-        decisions_a = [a.on_send("x") for _ in range(64)]
-        decisions_b = [b.on_send("y") for _ in range(64)]
+        decisions_a = [a.on_request() for _ in range(64)]
+        decisions_b = [b.on_request() for _ in range(64)]
         assert decisions_a == decisions_b
 
 

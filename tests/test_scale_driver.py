@@ -43,6 +43,13 @@ class TestInline:
         assert "RuntimeError" in outcomes[1].error
         assert all(o.cache == "off" for o in outcomes)
 
+    def test_failed_job_through_a_store_misses_and_stores_nothing(
+            self, tmp_path):
+        outcomes = run_jobs([_probe("b", behavior="raise")], workers=0,
+                            cache_dir=str(tmp_path))
+        assert [(o.status, o.cache) for o in outcomes] == [(FAILED, "miss")]
+        assert list(tmp_path.rglob("*.json")) == []
+
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             run_jobs([], workers=-1)

@@ -23,7 +23,6 @@ from repro.serve import (
     request_line,
 )
 from repro.serve.protocol import ProtocolError
-from repro.serve.server import _Flight
 from tests.blockers import SPIN_SRC, spins_for
 
 FIG5 = """
@@ -260,11 +259,11 @@ class TestExpiredInQueue:
         with an already-expired flight."""
         service = AnalysisService(ServeConfig(workers=1, backlog=1))
         try:
-            flight = _Flight("doomed", "run",
-                             time.perf_counter() - 1.0)  # already past
-            service._flights["doomed"] = flight
+            flight, leader = service._flights.join(
+                "doomed", time.perf_counter() - 1.0)  # already past
+            assert leader
             assert service._slots.acquire(blocking=False)
-            service._compute(flight, _run_params(), 0.0)
+            service._compute(flight, "run", _run_params(), 0.0)
             assert flight.outcome is not None
             ok, code, message = flight.outcome
             assert ok is False

@@ -59,6 +59,86 @@ class TestDeepRecursion:
         assert d.car == 0
 
 
+# The reference interpreter nests Python generator frames per
+# evaluation step on the C stack; past its depth bound a program must
+# fail with a typed error, not kill the process.  Each check runs in a
+# child process, so a regression fails this test instead of the whole
+# suite.  Every interpreted tick walks the whole frame chain, so a run
+# this deep takes tens of seconds: the two children run side by side.
+_DEEP_PRELUDE = """
+import json
+from repro import api
+from repro.serve import AnalysisService, Request, ServeConfig
+
+DN = "(defun dn (n) (if (= n 0) 0 (+ 1 (dn (- n 1)))))"
+# Nine nested forms a level: the bound comes at a shallower depth.
+NESTED = ("(defun dn (n) (if (= n 0) 0 (+ 1 (progn (progn (progn "
+          "(progn (progn (progn (progn (progn (dn (- n 1)))))))))))))")
+
+
+def run(source, expr, mode):
+    try:
+        return api.run(source, expr, api.RunOptions(eval_mode=mode)).value
+    except api.ApiError as err:
+        return err.code
+"""
+
+_DEEP_CHECKS = {
+    "serve": _DEEP_PRELUDE + """
+service = AnalysisService(ServeConfig(workers=1))
+served = service.handle(Request(id=1, op="run", params={
+    "source": DN, "expr": "(dn 5000)", "eval_mode": "interpreter"}))
+service.close()
+print(json.dumps({
+    "code": served["error"]["code"] if not served["ok"] else "ok",
+    "bounded": "recursion too deep" in served["error"]["message"],
+    "compiled": run(DN, "(dn 30000)", "compiled"),
+}))
+""",
+    "api": _DEEP_PRELUDE + """
+print(json.dumps({
+    "code": run(NESTED, "(dn 5000)", "interpreter"),
+    "interpreted": run(DN, "(dn 3000)", "interpreter"),
+}))
+""",
+}
+
+
+class TestInterpreterDepthBound:
+    def test_too_deep_is_an_engine_error_not_a_crash(self):
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        children = {
+            name: subprocess.Popen([sys.executable, "-c", code],
+                                   stdout=subprocess.PIPE,
+                                   stderr=subprocess.PIPE, text=True,
+                                   env=env)
+            for name, code in _DEEP_CHECKS.items()}
+        results = {}
+        try:
+            for name, child in children.items():
+                out, err = child.communicate(timeout=300)
+                assert child.returncode == 0, (name, err[-2000:])
+                results[name] = json.loads(out.splitlines()[-1])
+        finally:
+            for child in children.values():
+                child.kill()
+                child.wait(timeout=10)
+        assert results == {
+            "serve": {"code": "engine_error", "bounded": True,
+                      "compiled": "30000"},
+            "api": {"code": "engine_error", "interpreted": "3000"},
+        }
+
+
 class TestFutureEdges:
     def test_double_resolve_rejected(self):
         fut = Future()
