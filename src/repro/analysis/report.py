@@ -9,8 +9,9 @@ a :class:`FunctionAnalysis` into exactly that report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from repro.analysis.conflicts import FunctionAnalysis
+from repro.analysis.conflicts import Conflict, FunctionAnalysis
 
 
 @dataclass
@@ -31,7 +32,13 @@ class FeedbackReport:
         return "\n".join(out)
 
 
-def explain(analysis: FunctionAnalysis) -> FeedbackReport:
+def explain(
+    analysis: FunctionAnalysis, ordered: Sequence[Conflict] = ()
+) -> FeedbackReport:
+    """The §6 report.  ``ordered`` holds the active conflicts the
+    emitted spawn already orders (the locking pass's
+    ``LockingResult.ordered``): they are listed apart from the
+    conflicts that force synchronization."""
     fname = analysis.func.name.name
     ht = analysis.headtail
     report = FeedbackReport(
@@ -63,12 +70,16 @@ def explain(analysis: FunctionAnalysis) -> FeedbackReport:
 
     active = analysis.active_conflicts()
     dismissed = analysis.dismissed_conflicts()
-    if active:
-        lines.append(f"{len(active)} unresolved conflict(s) force synchronization:")
-        for c in active:
+    unresolved = [c for c in active if not any(c is o for o in ordered)]
+    if unresolved:
+        lines.append(
+            f"{len(unresolved)} unresolved conflict(s) force synchronization:")
+        for c in unresolved:
             lines.append(f"  {c.describe()}")
     else:
         lines.append("no unresolved conflicts")
+    for c in ordered:
+        lines.append(f"ordered by the spawn (§3.1): {c.describe()}")
     for c in dismissed:
         lines.append(f"dismissed: {c.describe()}")
 

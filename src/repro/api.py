@@ -275,9 +275,10 @@ class TransformOptions:
 
     mode: str = "spawn"  # "spawn" | "enqueue"
     suffix: str = "-cc"
-    #: Release each lock right after its last use on each path (the
-    #: protocol); False holds every lock to the end of the invocation,
-    #: kept as bench A8's comparison arm.
+    #: Release each lock right after its last use on each path, and
+    #: leave conflicts the spawn already orders unlocked (the
+    #: protocol); False is the literal §3.2.1 protocol: every active
+    #: conflict locked and held to the end of the invocation.
     early_release: bool = True
     use_delay: bool = False
     prefer_dps: bool = True

@@ -310,9 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the pinned perf suite and optionally gate on a baseline",
     )
-    p_bench.add_argument("--out", metavar="PATH", default="BENCH_perf.json",
-                         help="write the JSON report here "
-                              "(default: BENCH_perf.json)")
+    p_bench.add_argument("--out", metavar="PATH", default=None,
+                         help="write the JSON report here (default: no "
+                              "report file)")
     p_bench.add_argument("--compare", metavar="BASELINE", default=None,
                          help="compare against this baseline report and "
                               "exit 1 on a changed count or a regression")
@@ -790,9 +790,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         # Read the baseline *before* the suite runs: failing fast beats
         # failing after minutes of measurement, and --out may name the
-        # same file (its default is the checked-in baseline path) — the
-        # gate must compare against the pre-run contents, not whatever
-        # was just written over them.
+        # same file — the gate must compare against the pre-run
+        # contents, not whatever was just written over them.
         try:
             with open(args.compare, encoding="utf-8") as handle:
                 baseline_doc = json.load(handle)

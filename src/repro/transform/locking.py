@@ -15,7 +15,13 @@ afterwards.  The §3.2.1 protocol:
 * nested conflict-location chains coalesce to the shortest word (one
   lock covers ``l.car``, ``l.car.cdr``, ...);
 * a location only read by this invocation takes the read side of a
-  read-write lock.
+  read-write lock;
+* a conflict whose references both run before the function's one
+  spawn takes no lock: invocation i+1 starts only when invocation i
+  reaches it (§3.1, Figure 7), so the spawn orders them already
+  (:func:`_spawn_order`).  ``early_release=False`` is the paper's
+  literal protocol instead: every active conflict locked, every lock
+  held to the end of the invocation (benches A2, A7 and A8).
 
 A location word like ``cdr.car`` is locked at runtime by evaluating the
 base path and naming the final field: ``(lock-loc! (cdr l) 'car)``,
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.analysis.conflicts import FunctionAnalysis, MemoryRef
+from repro.analysis.conflicts import Conflict, FunctionAnalysis, MemoryRef
 from repro.ir import nodes as N
 from repro.ir.visitors import free_variables
 from repro.paths.accessor import Accessor
@@ -122,7 +128,7 @@ class LockingResult:
     whole_array_locks: list[WholeArrayLockSpec] = field(default_factory=list)
     serialize_lock: Optional[SerializeLockSpec] = None
     unresolved: list[str] = field(default_factory=list)
-    #: min(d_i) over the active conflicts: the most invocations the
+    #: min(d_i) over the locked conflicts: the most invocations the
     #: locks let run at once when every lock is held to the end of the
     #: invocation.  Last-use release can exceed it.
     concurrency_bound: Optional[int] = None
@@ -132,6 +138,8 @@ class LockingResult:
     #: The serialize lock is held to the end of every path: the emitted
     #: code runs one invocation at a time.
     serialized: bool = False
+    #: Active conflicts the spawn already orders (§3.1): no lock.
+    ordered: list[Conflict] = field(default_factory=list)
 
     @property
     def lock_count(self) -> int:
@@ -141,8 +149,11 @@ class LockingResult:
         )
 
 
-def plan_locks(analysis: FunctionAnalysis) -> tuple[list[LockSpec], list[str]]:
-    """Decide the lock set from the active conflicts."""
+def plan_locks(conflicts: list[Conflict]) -> tuple[
+    list[LockSpec], list[ArrayLockSpec], list[VarLockSpec],
+    list[WholeArrayLockSpec], list[str],
+]:
+    """Decide the lock set from the conflicts to lock."""
     unresolved: list[str] = []
     # Gather (param, word) → needs-write?
     needs: dict[tuple[Symbol, Accessor], bool] = {}
@@ -157,7 +168,7 @@ def plan_locks(analysis: FunctionAnalysis) -> tuple[list[LockSpec], list[str]]:
     array_needs: dict[tuple[Symbol, Symbol, int], bool] = {}
     whole_array_needs: set[Symbol] = set()
     var_needs: dict[Symbol, bool] = {}
-    for conflict in analysis.active_conflicts():
+    for conflict in conflicts:
         ok = True
         for ref in (conflict.earlier, conflict.later):
             if ref.is_array:
@@ -468,6 +479,82 @@ def place_release(
     return placed, len(finals), all(finals)
 
 
+def _spawn_order(analysis: FunctionAnalysis, func: N.FuncDef):
+    """What the function's one spawn already orders (§3.1, Figure 7).
+
+    Invocation i+1 starts only when invocation i reaches its spawn, so
+    whatever i runs before the spawn precedes every later invocation.
+    Returns ``(early, after)``: the ids of the sources of the nodes
+    that run before the spawn on every path and sit in no ``lambda``
+    (a conflict is ordered when both its references are among them;
+    per conflict, since two words can name one runtime lock), and each
+    statement that may run after the spawn, with the names bound at
+    it.  ``None`` unless the analyzed function has one self-call site,
+    it became the one ``spawn`` (no ``future``, no ``enqueue!``), and
+    neither a ``while`` nor a ``lambda`` holds it.
+    """
+    if len(analysis.recursion.self_calls) != 1:
+        return None
+    nodes = list(func.walk())
+    spawns = [n for n in nodes if isinstance(n, N.Spawn)]
+    if len(spawns) != 1 or not spawns[0].call.is_self_call or any(
+        isinstance(n, N.FutureExpr)
+        or isinstance(n, N.Call) and n.fn.name == "enqueue!" for n in nodes
+    ):
+        return None
+    spawn = spawns[0]
+    holders: set[int] = set()
+
+    def find(node: N.Node) -> bool:
+        if node is spawn or any(find(child) for child in node.children()):
+            holders.add(id(node))
+            return True
+        return False
+
+    for top in func.body:
+        find(top)
+    if any(isinstance(n, (N.While, N.Lambda)) and id(n) in holders
+           for n in nodes):
+        return None
+    before: set[int] = set()
+    after: list[tuple[N.Node, frozenset]] = []
+
+    def run(seq: list[N.Node], bound: frozenset) -> bool:
+        spawned = False
+        for stmt in seq:
+            spawned = step(stmt, bound, spawned)
+        return spawned
+
+    def step(node: N.Node, bound: frozenset, spawned: bool) -> bool:
+        # Returns whether the spawn may have run once ``node`` is done.
+        if not spawned:
+            if id(node) not in holders or node is spawn:
+                # The spawn's own arguments run before the child exists.
+                before.update(id(sub.source) for sub in node.walk())
+                return node is spawn
+            if isinstance(node, N.Progn):
+                return run(node.body, bound)
+            if isinstance(node, N.If) and id(node.test) not in holders:
+                before.update(id(sub.source) for sub in node.test.walk())
+                then = run([node.then], bound)
+                return run([node.els] if node.els else [], bound) or then
+            if isinstance(node, N.Let) and not any(
+                    id(init) in holders for _, init in node.bindings):
+                before.update(id(sub.source) for _, init in node.bindings
+                              for sub in init.walk())
+                return run(node.body, bound | node.bound_names())
+        # After the spawn, or holding it where this walk does not
+        # follow it (an ``if`` test, a ``let`` init, a call argument).
+        after.append((node, bound))
+        return True
+
+    run(func.body, frozenset(func.params))
+    late = {id(sub.source) for stmt, _ in after for sub in stmt.walk()}
+    late.update(id(sub.source) for n in nodes if isinstance(n, N.Lambda)
+                for sub in n.walk())
+    return before - late, after
+
+
 def insert_locks(
     analysis: FunctionAnalysis,
     func: Optional[N.FuncDef] = None,
@@ -485,13 +572,15 @@ def insert_locks(
             <original body, each lock released once on every path,
              right after that path's last use of it>))
 
-    Every lock kind (location, array, variable, serialize) goes through
+    Conflicts the spawn already orders get no lock and are listed in
+    ``LockingResult.ordered`` (see :func:`_spawn_order`).  Every lock
+    kind (location, array, variable, serialize) goes through
     :func:`place_release`.  A lock with a use inside a ``lambda`` is
     held to the end of the invocation, since the closure may be called
-    after the statement that makes it.  ``early_release=False`` treats
-    every statement as a use, so each lock is held to the end of the
-    invocation: the end-of-invocation protocol bench A8 compares
-    against.
+    after the statement that makes it.  ``early_release=False`` is the
+    literal §3.2.1 protocol: every active conflict is locked and every
+    statement counts as a use, so each lock is held to the end of the
+    invocation (the arm benches A2, A7 and A8 measure).
 
     Base paths are evaluated *once*, in the head, so a body that mutates
     an intermediate link cannot desynchronize lock and unlock.
@@ -500,21 +589,35 @@ def insert_locks(
 
     if func is None:
         func = copy_function(analysis.func)
-    specs, array_specs, var_specs, whole_specs, unresolved = plan_locks(analysis)
+    conflicts = analysis.active_conflicts()
+    unknowns = analysis.unknowns
+    ordered: list[Conflict] = []
+    order = _spawn_order(analysis, func) if early_release else None
+    if order is not None:
+        early, after = order
+
+        def spawn_ordered(c: Conflict) -> bool:
+            return all(id(ref.node.source) in early
+                       for ref in (c.earlier, c.later))
+
+        ordered = [c for c in conflicts if spawn_ordered(c)]
+        conflicts = [c for c in conflicts if not spawn_ordered(c)]
+        shared = _shared_use(analysis)
+        if not any(shared(stmt, names) for stmt, names in after):
+            unknowns = []
+    specs, array_specs, var_specs, whole_specs, unresolved = plan_locks(conflicts)
     result = LockingResult(
         func=func, locks=specs, array_locks=array_specs,
         var_locks=var_specs, whole_array_locks=whole_specs,
-        unresolved=unresolved,
+        unresolved=unresolved, ordered=ordered,
     )
     # Anything still unresolved (unbounded refs, unknown callees, ...)
     # falls back to full serialization — §6: never incorrect, only slow.
-    if unresolved or analysis.unknowns:
+    if unresolved or unknowns:
         result.serialize_lock = SerializeLockSpec(
-            analysis.func.name, [*analysis.unknowns, *unresolved]
+            analysis.func.name, [*unknowns, *unresolved]
         )
-    distances = [
-        c.distance for c in analysis.active_conflicts() if c.distance is not None
-    ]
+    distances = [c.distance for c in conflicts if c.distance is not None]
     result.concurrency_bound = min(distances) if distances else None
     if (not specs and not array_specs and not var_specs
             and not whole_specs and result.serialize_lock is None):

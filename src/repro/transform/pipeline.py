@@ -244,9 +244,11 @@ class Curare:
     ) -> CurareResult:
         """Run the whole flow on ``name`` (see the module docstring).
 
-        Locks are released right after their last use on each path;
-        ``early_release=False`` holds them to the end of the invocation
-        instead, the comparison arm of bench A8.
+        Conflicts the spawn already orders take no lock, and the other
+        locks are released right after their last use on each path.
+        ``early_release=False`` is the paper's literal §3.2.1 protocol:
+        every active conflict locked and held to the end of the
+        invocation (benches A2, A7 and A8).
         """
         rec = self.recorder
         if rec is None:
@@ -473,7 +475,9 @@ class Curare:
             self.runner.eval_form(result.final_form)
             for form in result.extra_forms:
                 self.runner.eval_form(form)
-        result.feedback = explain(working)
+        result.feedback = explain(
+            working, result.locking.ordered if result.locking else ()
+        )
         result._post_headtail_func = func
         return result
 
@@ -515,18 +519,20 @@ class Curare:
             rec.count("pipeline.transformed")
         if result.cri is not None:
             rec.count("pipeline.spawn_sites", result.cri.spawned_sites)
-        rec.event(
-            "pipeline.result", "pipeline",
-            args={
-                "function": result.original_name,
-                "transformed": result.transformed,
-                "transformed_name": result.transformed_name,
-                "reason": result.reason,
-                "conflicts_found": found,
-                "conflicts_dismissed": dismissed,
-                "locks_inserted": result.lock_count,
-            },
-        )
+        args = {
+            "function": result.original_name,
+            "transformed": result.transformed,
+            "transformed_name": result.transformed_name,
+            "reason": result.reason,
+            "conflicts_found": found,
+            "conflicts_dismissed": dismissed,
+            "locks_inserted": result.lock_count,
+        }
+        if result.locking and result.locking.ordered:
+            # Only where the spawn ordered something: the other
+            # functions' events keep their shape.
+            args["conflicts_ordered"] = len(result.locking.ordered)
+        rec.event("pipeline.result", "pipeline", args=args)
         # Export the analysis-cache effectiveness accrued by this
         # transform (delta since the last publish to this recorder).
         from repro.perf.cache import publish_cache_stats

@@ -199,11 +199,14 @@ class TestEndToEndArrays:
         from repro.runtime.machine import Machine
         from repro.transform.pipeline import Curare
 
+        # The tail read of v[i] meets the write of v[i] by the previous
+        # invocation across the spawn, so the element locks stay.
         SRC = """
         (defun stencil (v i n)
           (when (< i n)
             (setf (aref v (1+ i)) (+ (aref v (1+ i)) (aref v i)))
-            (stencil v (1+ i) n)))
+            (stencil v (1+ i) n)
+            (aref v i)))
         """
         interp = Interpreter()
         curare = Curare(interp, assume_sapp=True)

@@ -172,6 +172,23 @@ class TestCliBench:
                      "--max-regress", "400"]) == 0
         assert "no perf regressions" in capsys.readouterr().out
 
+    def test_compare_without_out_writes_no_file(self, tmp_path,
+                                                monkeypatch, capsys):
+        # A gate run must leave the committed reference alone: with no
+        # --out, the report goes to stdout only.
+        code, out = _bench(tmp_path, "bench.json")
+        assert code == 0
+        baseline = out.read_bytes()
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        capsys.readouterr()
+        assert main(["bench", "--cases", "fig07_replay", "--repeats", "5",
+                     "--compare", str(out), "--max-regress", "400"]) == 0
+        assert list(run_dir.iterdir()) == []
+        assert out.read_bytes() == baseline
+        assert ";; report:" not in capsys.readouterr().out
+
     def test_exits_nonzero_on_synthetic_regression(self, tmp_path, capsys):
         # Halving the committed normalized time is a doctored 2x
         # regression: the same code must fail the 30% bound.

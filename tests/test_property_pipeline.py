@@ -19,9 +19,16 @@ without the ``sapp`` declaration, so the serialize lock is exercised.
 Their conflicts never involve tail statements, so the sequential
 interpreter is the oracle for final heap, globals, outputs and return
 value.
+
+Conflicts whose references all run before the spawn take no lock, so
+the last two suites put references on both sides of it: tail
+statements that reach a later invocation's cell through another word
+and recursive calls in one arm of an ``if`` (oracle: invocation-serial
+semantics), and tree walkers with two spawn sites on DAG inputs.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -295,13 +302,15 @@ class TestGeneratedConflictPrograms:
         st.integers(0, 9999),
     )
     def test_locked_conflicts_invocation_serial(self, stmts, values, procs, seed):
-        src = build_source(stmts)
+        # A tail read of the cell the previous invocation's head writes:
+        # the conflict crosses the spawn.
+        src = build_source(stmts, tail=("(print (car l))",))
         seq = run_sequential(src, values)
         cc, result = run_concurrent(src, values, procs, seed)
         assert cc.heap == seq.heap
         assert cc.acc == seq.acc
-        # These programs genuinely conflict; the transform must have
-        # inserted locks.
+        # These programs genuinely conflict across the spawn; the
+        # transform must have inserted locks.
         assert result.lock_count >= 1
 
 
@@ -342,17 +351,258 @@ class TestLastUseProtocol:
     @pytest.mark.parametrize("sapp", ["assume", "declared", "none"])
     def test_shapes_take_their_locks(self, sapp):
         """The serialize lock comes from an unknown: a missing sapp
-        declaration, an escape, or an unresolvable base."""
+        declaration, an escape, or an unresolvable base.  It stays when
+        shared state is touched after the spawn."""
         src = build_source(
             ["(setf (car l) (+ (car l) (symbol-value 'bias)))"],
-            ["(burn 20)"], sapp=sapp)
+            ["(print (car l))", "(burn 20)"], sapp=sapp)
         _cc, result = run_concurrent(src, [1, 2, 3], 2, None,
                                      assume_sapp=sapp == "assume")
         assert (result.locking is not None
                 and result.locking.serialize_lock is not None) \
             == (sapp == "none")
-        src = build_source(["(setf (car counter) (+ (car counter) 1))"],
+        src = build_source([], ["(setf (car counter) (+ (car counter) 1))"],
                            sapp=sapp)
         _cc, result = run_concurrent(src, [1, 2, 3], 2, None,
                                      assume_sapp=sapp == "assume")
         assert result.locking.serialize_lock is not None
+
+
+# -- The spawn-order rule's safety net ---------------------------------------
+#
+# A conflict whose references all run before a function's only spawn
+# takes no lock.  These shapes put references on both sides of the
+# spawn: tail statements that reach, through another word, a cell a
+# later invocation's head touches (``caddr`` after the spawn, ``car``
+# in invocation i+2's head), and a recursive call in one arm of an
+# ``if`` with uses after the ``if``.  Tails run deepest-first in the
+# original recursion, so the oracle is invocation-serial semantics
+# (§3.1.1): the same function with its recursive call turned into
+# "run this invocation next", driven by a loop.
+
+#: Head statements: the current cell through ``car``, the next cells
+#: through ``cadr``, an unresolvable base and an escape.
+ORDER_HEADS = [
+    "(setf (car l) (+ (car l) 1))",
+    "(print (car l))",
+    "(when (consp (cdr l)) (setf (cadr l) (+ (cadr l) (car l))))",
+    "(if (> (car l) 0) (setf (car l) (- (car l) 2)) (burn 2))",
+    "(setf (car counter) (+ (* 2 (car counter)) (car l)))",
+    "(set 'last (car l))",
+]
+#: Tail statements: each but the busy loop reaches a cell that a later
+#: invocation's head touches.
+ORDER_TAILS = [
+    "(when (consp (cddr l)) (setf (caddr l) (* 2 (caddr l))))",
+    "(when (consp (cdr l)) (setf (cadr l) (- (cadr l) 1)))",
+    "(print (cadr l))",
+    "(burn {k})",
+]
+#: The recursive call in one arm of an ``if``.
+CONDITIONAL = "(if (> (car l) {t}) {recur} (print 0))"
+
+SERIAL_DRIVER = """
+(setq %next nil)
+(defun %serial (args)
+  (let ((value nil) (first t))
+    (while args
+      (setq %next nil)
+      (let ((v (apply (function f) args)))
+        (when first (setq value v) (setq first nil)))
+      (setq args %next))
+    value))
+"""
+
+
+@dataclass(frozen=True)
+class OrderShape:
+    head: tuple
+    tail: tuple
+    conditional: Optional[int]  # the if's threshold, or no if
+    sapp: str
+
+    def source(self, recur: str = "(f (cdr l))") -> str:
+        call = (recur if self.conditional is None
+                else CONDITIONAL.format(t=self.conditional, recur=recur))
+        body = "\n    ".join([*self.head, call, *self.tail])
+        decl = "(declaim (sapp f l))" if self.sapp == "declared" else ""
+        return f"""{PRELUDE}{decl}
+(defun f (l)
+  (when l
+    {body}))
+"""
+
+    @property
+    def head_only(self) -> bool:
+        """Nothing after the recursive call but a busy loop.  Every
+        conflict then runs before the spawn, unless the spawn was
+        hoisted above a head statement."""
+        return all(s.startswith("(burn ") for s in self.tail)
+
+
+@st.composite
+def order_shapes(draw):
+    head = draw(st.lists(st.sampled_from(ORDER_HEADS), min_size=1,
+                         max_size=3))
+    tail = [draw(st.sampled_from(ORDER_TAILS)).format(
+                k=draw(st.integers(5, 40)))
+            for _ in range(draw(st.integers(0, 2)))]
+    conditional = draw(st.one_of(st.none(), st.integers(-5, 5)))
+    if conditional is not None and not tail:
+        tail = ["(print (car l))"]  # a use after the if
+    return OrderShape(tuple(head), tuple(tail), conditional,
+                      draw(st.sampled_from(["assume", "declared", "none"])))
+
+
+def run_serial(shape: OrderShape, values: list[int]) -> Outcome:
+    """Invocation-serial semantics: each invocation runs to its end
+    before the next one starts."""
+    runner = SequentialRunner(Interpreter(), eval_mode="interpreter")
+    runner.eval_text(shape.source("(progn (setq %next (list (cdr l))) nil)")
+                     + SERIAL_DRIVER)
+    runner.eval_text(f"(setq d {_data(values)})")
+    value = runner.eval_text("(%serial (list d))")
+    return _outcome(runner, runner.outputs, value)
+
+
+class TestSpawnOrderRule:
+    """Either no race and the invocation-serial final state, or a
+    refusal that says why; no lock when every conflict precedes the
+    spawn."""
+
+    @settings(max_examples=40, **COMMON)
+    @given(
+        order_shapes(),
+        st.lists(st.integers(-9, 9), min_size=0, max_size=6),
+        st.integers(2, 6),
+        st.integers(0, 9999),
+        st.sampled_from(["interpreter", "compiled"]),
+    )
+    def test_crossing_the_spawn(self, shape, values, procs, seed,
+                                eval_mode):
+        src = shape.source()
+        want = run_serial(shape, values)
+        for schedule in (None, seed, seed + 1):
+            races = RaceDetector()
+            cc, result = run_concurrent(
+                src, values, procs, schedule,
+                assume_sapp=shape.sapp == "assume",
+                eval_mode=eval_mode, races=races)
+            if cc is None:
+                assert result.reason
+                return
+            where = f"{eval_mode}, schedule {schedule}"
+            assert races.races == [], where
+            assert cc.heap == want.heap, where
+            assert (cc.acc, cc.state) == (want.acc, want.state), where
+            assert sorted(map(repr, cc.outputs)) == \
+                sorted(map(repr, want.outputs)), where
+            assert cc.value == want.value, where
+            if shape.head_only and not result.cri.hoisted:
+                assert result.lock_count == 0, where
+
+
+#: Tree walkers: two spawn sites, so sibling subtrees overlap and the
+#: rule never applies.  Every update adds to the node's own field, so
+#: on a DAG the final heap does not depend on which path reaches a
+#: shared node first.
+TREE_HEADS = [
+    "(setf (nd-vl n) (+ (nd-vl n) {k}))",
+    "(print (nd-vl n))",
+    "(burn {k})",
+]
+TREE_TAILS = ["(burn {k})", "(setf (nd-vl n) (+ (nd-vl n) 1))"]
+
+
+@st.composite
+def dags(draw):
+    """Node i's children are later nodes or nil: a DAG rooted at node
+    0, with shared nodes wherever two edges meet."""
+    size = draw(st.integers(1, 7))
+    child = st.one_of(st.none(), st.integers(0, size - 1))
+    edges = []
+    for i in range(size):
+        lf, rt = draw(child), draw(child)
+        edges.append(tuple(c if c is not None and c > i else None
+                           for c in (lf, rt)))
+    return edges
+
+
+def tree_source(head, between, tail, declared) -> str:
+    body = "\n    ".join([*head, "(f (nd-lf n))", *between,
+                          "(f (nd-rt n))", *tail])
+    decl = "(declaim (sapp f n))" if declared else ""
+    return f"""{PRELUDE}(defstruct nd lf rt vl)
+{decl}
+(defun f (n)
+  (when n
+    {body}))
+"""
+
+
+def dag_setup(edges) -> str:
+    def name(i):
+        return "nil" if i is None else f"n{i}"
+
+    return " ".join(
+        f"(setq n{i} (make-nd {name(lf)} {name(rt)} {i}))"
+        for i, (lf, rt) in reversed(list(enumerate(edges))))
+
+
+def _tree_outcome(runner, outputs, value, size) -> Outcome:
+    heap = write_str(runner.eval_text(
+        "(list " + " ".join(f"(nd-vl n{i})" for i in range(size)) + ")"))
+    return Outcome(heap, 0, tuple(outputs), (), write_str(value))
+
+
+class TestTreeWalkersOnDags:
+    @settings(max_examples=30, **COMMON)
+    @given(
+        st.lists(st.sampled_from(TREE_HEADS), min_size=1, max_size=2),
+        st.lists(st.sampled_from(TREE_HEADS), max_size=1),
+        st.lists(st.sampled_from(TREE_TAILS), max_size=1),
+        dags(),
+        st.integers(2, 6),
+        st.integers(0, 9999),
+        st.integers(1, 9),
+    )
+    def test_matches_sequential_without_races(self, head, between, tail,
+                                              edges, procs, seed, k):
+        head, between, tail = ([s.format(k=k) for s in part]
+                               for part in (head, between, tail))
+        # sapp is declared only where it holds: no node is shared.
+        targets = [c for pair in edges for c in pair if c is not None]
+        declared = len(targets) == len(set(targets))
+        src = tree_source(head, between, tail, declared)
+        setup = dag_setup(edges)
+        runner = SequentialRunner(Interpreter(), eval_mode="interpreter")
+        runner.eval_text(src)
+        runner.eval_text(setup)
+        value = runner.eval_text("(f n0)")
+        want = _tree_outcome(runner, runner.outputs, value, len(edges))
+        for schedule in (None, seed):
+            interp = Interpreter()
+            curare = Curare(interp)
+            curare.load_program(src)
+            result = curare.transform("f")
+            if not result.transformed:
+                assert result.reason
+                return
+            assert result.cri.spawned_sites == 2
+            assert result.locking is None or not result.locking.ordered
+            curare.runner.eval_text(setup)
+            races = RaceDetector()
+            policy = {} if schedule is None else {
+                "policy": "random", "seed": schedule}
+            machine = Machine(interp, processors=procs, race_detector=races,
+                              **policy)
+            main = machine.spawn_text("(f-cc n0)")
+            machine.run()
+            got = _tree_outcome(curare.runner, machine.outputs, main.result,
+                                len(edges))
+            where = f"schedule {schedule}"
+            assert races.races == [], where
+            assert got.heap == want.heap, where
+            assert sorted(map(repr, got.outputs)) == \
+                sorted(map(repr, want.outputs)), where
+            assert got.value == want.value, where

@@ -263,6 +263,18 @@ class TestClosureUses:
         assert branch.index("(mapcar g ") < branch.index("(unlock-var! 'acc)")
 
 
+#: SRC with a tail read of the cell the previous invocation writes:
+#: the conflict crosses the spawn, so both protocols lock it.
+TAIL_READ_SRC = """
+(defun f (l)
+  (cond ((null l) nil)
+        ((null (cdr l)) nil)
+        (t (setf (cadr l) (+ (car l) (cadr l)))
+           (f (cdr l))
+           (car l))))
+"""
+
+
 class TestReport:
     def test_bound_printed_only_while_locks_are_held_to_the_end(self):
         # min(d_i) bounds the overlap of end-of-invocation locking;
@@ -270,7 +282,7 @@ class TestReport:
         for early, shown in ((True, False), (False, True)):
             interp = Interpreter()
             curare = Curare(interp, assume_sapp=True)
-            curare.load_program(SRC)
+            curare.load_program(TAIL_READ_SRC)
             result = curare.transform("f", early_release=early)
             assert result.locking.concurrency_bound == 1
             assert ("lock-limited concurrency" in result.report()) == shown
@@ -282,12 +294,15 @@ class TestSerializeRelease:
         (declaim (pure burn))
         (defun burn (n) (let ((i 0)) (while (< i n) (setq i (1+ i))) i))
         (defun g (l)
-          (when l (setf (car l) (+ 1 (car l))) (g (cdr l)) (burn 40)))
+          (when l (setf (car l) (+ 1 (car l))) (g (cdr l)) (print (car l))
+            (burn 40)))
         """
         interp = Interpreter()
         curare = Curare(interp)
         curare.load_program(src)
         result = curare.transform("g")
+        # The print after the spawn touches shared state, so the lock
+        # the missing sapp declaration forces stays, up to the print.
         assert result.locking.serialize_lock is not None
         assert not result.locking.serialized
         text = write_str(result.final_form)

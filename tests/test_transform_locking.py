@@ -16,7 +16,7 @@ def analyzed(interp, runner, src, name):
 class TestPlanning:
     def test_fig5_plan(self, interp, runner, fig5_src):
         a = analyzed(interp, runner, fig5_src, "f5")
-        specs, _arrays, _vars, _whole, unresolved = plan_locks(a)
+        specs, _arrays, _vars, _whole, unresolved = plan_locks(a.active_conflicts())
         assert not unresolved
         by_word = {str(s.word): s for s in specs}
         assert set(by_word) == {"car", "cdr.car"}
@@ -25,7 +25,7 @@ class TestPlanning:
 
     def test_conflict_free_plans_nothing(self, interp, runner, fig3_src):
         a = analyzed(interp, runner, fig3_src, "f3")
-        specs, _arrays, _vars, _whole, unresolved = plan_locks(a)
+        specs, _arrays, _vars, _whole, unresolved = plan_locks(a.active_conflicts())
         assert not specs and not unresolved
 
     def test_coalescing_nested_words(self, interp, runner):
@@ -40,7 +40,7 @@ class TestPlanning:
             (f (cdr l))))
         """
         a = analyzed(interp, runner, src, "f")
-        specs, _arrays, _vars, _whole, _ = plan_locks(a)
+        specs, _arrays, _vars, _whole, _ = plan_locks(a.active_conflicts())
         words = {str(s.word) for s in specs}
         assert "cdr" in words
         assert "cdr.car" not in words
@@ -49,7 +49,7 @@ class TestPlanning:
 
     def test_emission_order_shortest_first(self, interp, runner, fig5_src):
         a = analyzed(interp, runner, fig5_src, "f5")
-        specs, _arrays, _vars, _whole, _ = plan_locks(a)
+        specs, _arrays, _vars, _whole, _ = plan_locks(a.active_conflicts())
         lengths = [len(s.word) for s in specs]
         assert lengths == sorted(lengths)
 
@@ -58,7 +58,7 @@ class TestPlanning:
             interp, runner,
             "(defun f (l) (when l (setq g (car l)) (f (cdr l))))", "f",
         )
-        specs, _arrays, var_specs, _whole, unresolved = plan_locks(a)
+        specs, _arrays, var_specs, _whole, unresolved = plan_locks(a.active_conflicts())
         assert not unresolved
         assert any(s.name.name == "g" and s.write for s in var_specs)
 
