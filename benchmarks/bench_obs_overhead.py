@@ -5,8 +5,10 @@ hook sites are a ``None`` check, and with one armed the cost must stay
 small relative to the run itself.  This benchmark times the figure-10
 trace workload (transform + machine run, the ``repro trace fig10``
 path) with the recorder off and on, interleaved to be fair to both, and
-writes the measured overhead to ``BENCH_observability.json``
-(enveloped, ``kind: obs-bench``) at the repo root.
+writes the measured overhead to ``benchmarks/results/observability.json``
+(enveloped, ``kind: obs-bench``).  The committed
+``BENCH_observability.json`` at the repo root is a copy of one such
+run; a run never overwrites it.
 
 Acceptance bar (ISSUE 2): recorded-run overhead **< 25 %**.
 """
@@ -22,8 +24,8 @@ from repro.harness.report import format_table, shape_check
 from repro.obs import Recorder
 from repro.obs.workloads import run_trace_workload, trace_workloads
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-RESULT_JSON = REPO_ROOT / "BENCH_observability.json"
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+RESULT_JSON = RESULTS_DIR / "observability.json"
 ROUNDS = 7
 OVERHEAD_BAR = 0.25
 
@@ -67,6 +69,7 @@ def measure() -> dict:
 
 def test_obs_overhead(benchmark, record_table):
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
+    RESULTS_DIR.mkdir(exist_ok=True)
     RESULT_JSON.write_text(dumps(wrap(KIND_OBS, result)),
                            encoding="utf-8")
     table = format_table(

@@ -7,10 +7,11 @@ serially in one process, and every ``repro`` invocation re-derived the
 same automata and transforms from scratch.  Three pieces fix that:
 
 * :mod:`repro.scale.driver` — a sharded fan-out driver that runs sweep
-  jobs across ``multiprocessing`` worker processes with per-worker task
-  queues, per-job timeouts, and crash isolation: a worker that dies
-  marks its job failed and is respawned (the PR-1 robustness
-  vocabulary, applied to OS processes instead of simulated ones).
+  jobs on the worker-process farm :mod:`repro.serve.pool` (the one
+  ``repro serve --executor process`` uses), with per-job timeouts and
+  crash isolation: a worker that dies marks its job ``crashed`` and is
+  respawned (the robustness vocabulary of the simulated machine,
+  applied to OS processes).
 * :mod:`repro.scale.cache` — the one content-addressed result store
   (key = SHA-256 of program source + declarations + pipeline/cost-model
   config + the job's *stage fingerprint*): memory, then disk, then a

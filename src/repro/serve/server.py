@@ -21,11 +21,12 @@ Three layers:
   Two executors host the actual engine call.  The default ``thread``
   executor computes inline on the pool thread — cheap, but CPU-bound
   work is GIL-serialized and an engine crash is a process crash.  The
-  ``process`` executor (:mod:`repro.fleet.pool`) checks a worker
-  *process* out of a respawning farm: CPU-bound work escapes the GIL,
-  a segfaulted/killed worker yields a typed ``engine_error`` response
-  (never a dropped connection) and is respawned, and cancellation is
-  real — an abandoned computation's worker is terminated mid-flight.
+  ``process`` executor runs :func:`engine_worker` on the worker-process
+  farm (:mod:`repro.serve.pool`, the one ``repro sweep`` uses too):
+  CPU-bound work escapes the GIL, a segfaulted/killed worker yields a
+  typed ``engine_error`` response (:class:`WorkerCrash`, never a
+  dropped connection) and is respawned, and cancellation is real — an
+  abandoned computation's worker is terminated mid-flight.
 * :class:`NdjsonServer` — a reusable NDJSON/TCP front: one reader
   thread per connection, one request processed per connection at a
   time, responses written in request order, graceful drain.  The shard
@@ -59,12 +60,13 @@ the backpressure and deadline paths.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro import api
 from repro.obs.recorder import PID_SERVE
@@ -230,11 +232,18 @@ class Telemetry:
                                 pid=self._pid, tid=tid, args=args or {})
 
 
+class WorkerCrash(api.EngineError):
+    """A process-executor worker died under a request, or was
+    terminated because nobody waits for its answer.  A typed facade
+    error (``code == "engine_error"``), so hosting layers render it as
+    a structured response: crash isolation, not crash propagation."""
+
+
 def engine_call(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Dispatch one engine op onto the facade; raises on bad params.
 
-    Module-level (not a service method) so the process-pool worker
-    (:mod:`repro.fleet.pool`) executes exactly the same dispatch — the
+    Module-level (not a service method) so a process-executor worker
+    (:func:`engine_worker`) executes exactly the same dispatch — the
     executors cannot drift apart semantically.
     """
     params = dict(params)
@@ -269,6 +278,36 @@ def engine_call(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
     raise api.BadRequest(f"unknown engine op {op!r}")
 
 
+@contextlib.contextmanager
+def engine_worker() -> Iterator[Callable[[Any], Tuple]]:
+    """The process executor's worker setup: its handler runs one
+    ``(op, params)`` task through :func:`engine_call` and turns every
+    failure into an ``("error", code, message)`` message, so a request
+    never takes the worker down."""
+
+    def handle(task: Tuple[str, Dict[str, Any]]) -> Tuple:
+        op, params = task
+        try:
+            return ("ok", engine_call(op, params))
+        except api.ApiError as err:
+            return ("error", err.code, str(err))
+        except (TypeError, ValueError) as err:
+            return ("error", ERR_BAD_REQUEST, f"bad params: {err}")
+        except Exception as err:  # noqa: BLE001 - see the docstring
+            return ("error", ERR_INTERNAL, f"{type(err).__name__}: {err}")
+
+    yield handle
+
+
+#: A process-executor worker's error code → the facade error raised for it.
+_API_ERRORS = {
+    "bad_request": api.BadRequest,
+    "transform_refused": api.TransformRefused,
+    "engine_error": api.EngineError,
+    "internal": api.EngineError,
+}
+
+
 class AnalysisService:
     """The engine host: worker pool + admission + coalescing + drain."""
 
@@ -285,16 +324,15 @@ class AnalysisService:
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-serve"
         )
-        self._engine = None
+        self._farm = None
         if config.executor == EXECUTOR_PROCESS:
-            # Imported lazily: repro.fleet imports repro.serve, so the
-            # module-level direction must stay serve ← fleet.
-            from repro.fleet.pool import ProcessEngine
+            # Imported here: the thread executor never loads
+            # multiprocessing.
+            from repro.serve.pool import Farm
 
-            self._engine = ProcessEngine(
-                workers=config.workers,
-                on_count=self._count,
-            )
+            self._farm = Farm(
+                config.workers, engine_worker,
+                on_respawn=lambda: self._count("serve.pool.respawns"))
         self._store = None
         if config.cache_server:
             self._store = api.open_result_store(server=config.cache_server)
@@ -485,10 +523,29 @@ class AnalysisService:
 
     def _engine_call(self, op: str, params: Dict[str, Any],
                      cancel: threading.Event) -> Dict[str, Any]:
-        """Execute the engine op on the configured executor."""
-        if self._engine is not None:
-            return self._engine.call(op, params, cancel=cancel)
-        return engine_call(op, params)
+        """Execute the engine op on the configured executor; raises
+        the facade's typed errors, plus :class:`WorkerCrash` when a
+        process-executor worker died or was cancelled under it."""
+        if self._farm is None:
+            return engine_call(op, params)
+        from repro.serve.pool import CANCELLED, CRASHED
+
+        kind, value = self._farm.call((op, dict(params)), cancel=cancel)
+        if kind == CRASHED:
+            self._count("serve.pool.crashes")
+            raise WorkerCrash(
+                f"worker process (pid {value}) died while computing "
+                f"{op!r}; worker respawned, request failed with no "
+                "partial effects")
+        if kind == CANCELLED:
+            # Nobody is waiting, but the answer stays typed.
+            self._count("serve.pool.cancelled_kills")
+            raise WorkerCrash("cancelled mid-computation: every waiter's "
+                              "deadline expired; worker terminated")
+        if value[0] == "ok":
+            return value[1]
+        _, code, message = value
+        raise _API_ERRORS.get(code, api.EngineError)(message)
 
     def _health(self) -> Dict[str, Any]:
         return {
@@ -532,8 +589,8 @@ class AnalysisService:
         """Block until every in-flight computation has completed."""
         self.begin_drain()
         self._executor.shutdown(wait=True)
-        if self._engine is not None:
-            self._engine.close()
+        if self._farm is not None:
+            self._farm.close()
         if self._store is not None:
             self._store.close()
 

@@ -1,5 +1,6 @@
-"""The process-pool engine: executor parity, typed errors, crash
-isolation (kill -9 a worker), respawn, and cancellation."""
+"""The process executor of ``repro serve`` (engine calls on the
+worker-process farm, :mod:`repro.serve.pool`): executor parity, typed
+errors, crash isolation (kill -9 a worker), respawn, and cancellation."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ import time
 import pytest
 
 from repro import api
-from repro.fleet.pool import ProcessEngine, WorkerCrash
-from repro.serve.server import engine_call
+from repro.serve import AnalysisService, ServeConfig
+from repro.serve.pool import Farm
+from repro.serve.server import WorkerCrash, engine_call, engine_worker
 from tests.blockers import SPIN_SRC, spins_for
 
 FIG5 = """
@@ -27,22 +29,32 @@ FIG5 = """
 
 
 
+class _Executor:
+    """One process-executor service, driven at its engine-call seam."""
+
+    def __init__(self, workers: int):
+        self.service = AnalysisService(ServeConfig(workers=workers,
+                                                   executor="process"))
+
+    def call(self, op, params, cancel=None):
+        return self.service._engine_call(op, params,
+                                         cancel or threading.Event())
+
+    def worker_pids(self):
+        return self.service._farm.worker_pids()
+
+    def counters(self):
+        return self.service.counters()
+
+    def close(self):
+        self.service.close()
+
+
 @pytest.fixture
-def counts():
-    out: dict = {}
-
-    def bump(name: str) -> None:
-        out[name] = out.get(name, 0) + 1
-
-    bump.seen = out  # type: ignore[attr-defined]
-    return bump
-
-
-@pytest.fixture
-def engine(counts):
-    pool = ProcessEngine(workers=1, on_count=counts)
-    yield pool
-    pool.close()
+def engine():
+    executor = _Executor(workers=1)
+    yield executor
+    executor.close()
 
 
 def slow_params(ms=500.0):
@@ -90,7 +102,7 @@ class TestTypedErrors:
 
 class TestCrashIsolation:
     def test_kill_mid_computation_yields_typed_error_and_respawn(
-            self, engine, counts):
+            self, engine):
         outcome = {}
 
         def call():
@@ -116,8 +128,8 @@ class TestCrashIsolation:
         assert isinstance(err, WorkerCrash)
         assert err.code == "engine_error"
         assert "died" in str(err)
-        assert counts.seen.get("serve.pool.crashes") == 1
-        assert counts.seen.get("serve.pool.respawns", 0) >= 1
+        assert engine.counters().get("serve.pool.crashes") == 1
+        assert engine.counters().get("serve.pool.respawns", 0) >= 1
 
     def test_pool_keeps_working_after_a_crash(self, engine):
         pids = engine.worker_pids()
@@ -134,8 +146,7 @@ class TestCrashIsolation:
 
 
 class TestCancellation:
-    def test_cancel_terminates_the_worker_mid_computation(
-            self, engine, counts):
+    def test_cancel_terminates_the_worker_mid_computation(self, engine):
         cancel = threading.Event()
         outcome = {}
 
@@ -155,7 +166,7 @@ class TestCancellation:
         assert not thread.is_alive()
         assert "error" in outcome
         assert "cancelled" in str(outcome["error"])
-        assert counts.seen.get("serve.pool.cancelled_kills") == 1
+        assert engine.counters().get("serve.pool.cancelled_kills") == 1
         # The computing worker was terminated and replaced.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
@@ -166,8 +177,8 @@ class TestCancellation:
 
 
 class TestLifecycle:
-    def test_close_reaps_every_worker(self, counts):
-        pool = ProcessEngine(workers=2, on_count=counts)
+    def test_close_reaps_every_worker(self):
+        pool = _Executor(workers=2)
         pids = pool.worker_pids()
         assert len(pids) == 2
         pool.close()
@@ -178,4 +189,4 @@ class TestLifecycle:
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            ProcessEngine(workers=0)
+            Farm(0, engine_worker)

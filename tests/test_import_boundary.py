@@ -28,9 +28,10 @@ FORBIDDEN = {
 }
 
 # Facade and cross-cutting support packages.  ``fleet`` is a hosting
-# layer like ``serve``: its process pool and shard router run engine
-# work exclusively through the facade (the pool worker literally
-# executes ``serve.server.engine_call``), never the engine directly.
+# layer like ``serve``: its shard router runs engine work exclusively
+# through the facade, never the engine directly.  The worker-process
+# farm lives in ``serve`` (``serve.pool``); serve's process-executor
+# workers execute ``serve.server.engine_call``, as its threads do.
 ALLOWED = {"api", "envelope", "fleet", "harness", "obs", "perf", "serve"}
 
 THIN_CALLERS = (

@@ -9,8 +9,7 @@ keep going.
 
 from __future__ import annotations
 
-import queue as queue_mod
-import time
+import sys
 
 import pytest
 
@@ -21,10 +20,6 @@ from repro.scale.driver import (
     OK,
     TIMEOUT,
     JobOutcome,
-    _check_health,
-    _collect,
-    _dispatch,
-    _SweepState,
     run_jobs,
 )
 from repro.scale.jobs import SweepJob
@@ -97,115 +92,6 @@ class TestShardedFaults:
         assert outcomes[0].cache == "off"
 
 
-class _FakeProc:
-    def __init__(self, alive: bool):
-        self.alive = alive
-
-    def is_alive(self) -> bool:
-        return self.alive
-
-
-class _FakeTaskQ:
-    def __init__(self):
-        self.items = []
-
-    def put(self, item) -> None:
-        self.items.append(item)
-
-
-class _FakeHandle:
-    """Stands in for _WorkerHandle so queue races replay deterministically."""
-
-    def __init__(self, worker_id: int, alive: bool, results=()):
-        self.worker_id = worker_id
-        self.proc = _FakeProc(alive)
-        self.task_q = _FakeTaskQ()
-        self.result_q = _FakeResultQ(results)
-        self.cache_dir = None
-        self.cache_server = None
-
-    def respawn(self) -> "_FakeHandle":
-        return _FakeHandle(self.worker_id, alive=True)
-
-
-class _FakeResultQ:
-    def __init__(self, items=()):
-        self.items = list(items)
-
-    def get_nowait(self):
-        if not self.items:
-            raise queue_mod.Empty
-        return self.items.pop(0)
-
-
-class TestHealthCheckRaces:
-    """Replays of interleavings real processes can't hit on demand."""
-
-    def test_dead_worker_cannot_touch_peer_results(self):
-        # Worker 0 died without answering; worker 1 posted its result
-        # on its own queue in the same window.  Result pipes are
-        # per-worker, so worker 0's termination and respawn can only
-        # drain worker 0's queue: worker 1's posted result stays
-        # untouched for the ordinary collect pass — the shared-queue
-        # poisoning hazard is gone by construction.
-        jobs = [_probe("a", value=1), _probe("b", value=2)]
-        pool = {0: _FakeHandle(0, alive=False),
-                1: _FakeHandle(1, alive=True,
-                               results=[(1, 1, OK, {"value": 2}, "",
-                                         "off")])}
-        now = time.monotonic()
-        state = _SweepState(outcomes=[None, None],
-                            busy={0: (0, None, now), 1: (1, None, now)},
-                            next_job=2)
-        _check_health(pool, state, jobs, recorder=None)
-        assert state.outcomes[0].status == CRASHED
-        assert state.outcomes[1] is None  # not resolved by the health pass
-        assert 1 in state.busy
-        assert state.respawns == 1  # only the dead worker
-        assert _collect(pool, state, jobs, recorder=None)
-        assert state.outcomes[1].status == OK
-        assert state.outcomes[1].payload == {"value": 2}
-        assert state.done == 2
-        assert state.busy == {}
-
-    def test_dispatch_respawns_dead_idle_worker(self):
-        # A dead worker whose final result the drain recovered goes
-        # back on the idle list; the next dispatch must respawn it
-        # rather than strand a job on a task queue nothing reads.
-        jobs = [_probe("a", value=1), _probe("b", value=2)]
-        dead = _FakeHandle(0, alive=False,
-                           results=[(0, 0, OK, {"value": 1}, "", "off")])
-        pool = {0: dead}
-        now = time.monotonic()
-        state = _SweepState(outcomes=[None, None],
-                            busy={0: (0, None, now)}, next_job=1)
-        _check_health(pool, state, jobs, recorder=None)
-        assert state.outcomes[0].status == OK  # drain won, no crash record
-        assert state.idle == [0]
-        _dispatch(pool, state, jobs, job_timeout=None, recorder=None)
-        assert pool[0] is not dead
-        assert pool[0].proc.is_alive()
-        assert state.respawns == 1
-        assert pool[0].task_q.items == [(1, jobs[1])]
-        assert dead.task_q.items == []  # nothing landed on the dead queue
-
-    def test_timed_out_worker_with_posted_result_is_not_terminated(self):
-        # The result arrived right at the deadline: the drain must win
-        # and the (alive) worker must survive untouched.
-        jobs = [_probe("a", value=1)]
-        handle = _FakeHandle(0, alive=True,
-                             results=[(0, 0, OK, {"value": 1}, "", "off")])
-        pool = {0: handle}
-        started = time.monotonic() - 10.0
-        state = _SweepState(outcomes=[None],
-                            busy={0: (0, started + 1.0, started)},
-                            next_job=1)
-        _check_health(pool, state, jobs, recorder=None)
-        assert state.outcomes[0].status == OK
-        assert state.respawns == 0
-        assert pool[0] is handle
-
-
 class TestShardedHappyPath:
     def test_matches_inline(self):
         jobs = [_probe(f"j{i}", value=i) for i in range(5)]
@@ -218,3 +104,29 @@ class TestShardedHappyPath:
         # One job, many workers: must not hang waiting on idle slots.
         outcomes = run_jobs([_probe("solo", value=9)], workers=8)
         assert outcomes[0].payload == {"value": 9}
+
+    def test_one_span_lane_per_slot(self):
+        recorder = Recorder()
+        jobs = [_probe(f"j{i}", value=i) for i in range(6)]
+        run_jobs(jobs, workers=2, recorder=recorder)
+        spans = [e for e in recorder.events if e.name == "scale.job"]
+        assert {e.tid for e in spans} <= {0, 1}
+        assert len(spans) == 2 * len(jobs)
+        assert check_span_balance(recorder.events) == []
+
+    def test_more_lanes_than_cores_lose_no_outcome(self):
+        # The lanes share the job iterator, the outcome list and the
+        # recorder under one lock; switch threads as often as possible.
+        jobs = [_probe(f"j{i}", value=i) for i in range(40)]
+        recorder = Recorder()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = run_jobs(jobs, workers=4, job_timeout=60.0,
+                                recorder=recorder)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [o.payload for o in outcomes] == [{"value": i}
+                                                 for i in range(40)]
+        assert recorder.metrics.counter_values()["scale.job.ok"] == 40
+        assert check_span_balance(recorder.events) == []

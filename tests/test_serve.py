@@ -47,6 +47,14 @@ def _slow_params(ms=150.0, **extra):
             "processors": 1, **extra}
 
 
+def _hold_200ms():
+    """A chaos plan that holds the worker of the first request for
+    200 ms by time (an interruptible wait, not CPU work), whatever the
+    host's speed."""
+    return RequestFaultPlan(0, reject_rate=0.0, delay_rate=1.0,
+                            delay_ms=(200.0, 200.0), budget=1)
+
+
 def _request(op, params, request_id="r", deadline_ms=None):
     return Request(id=request_id, op=op, params=params,
                    deadline_ms=deadline_ms)
@@ -213,9 +221,10 @@ class TestDeadlines:
 
     def test_default_deadline_applies(self):
         service = AnalysisService(
-            ServeConfig(workers=1, backlog=1, default_deadline_ms=1.0))
+            ServeConfig(workers=1, backlog=1, default_deadline_ms=1.0,
+                        chaos=_hold_200ms()))
         try:
-            response = service.handle(_request("run", _slow_params(10.0)))
+            response = service.handle(_request("run", _run_params()))
             assert response["error"]["code"] == "deadline_exceeded"
         finally:
             service.close()
@@ -231,11 +240,12 @@ class TestQueueWait:
         assert wait["max_ms"] >= 0.0
 
     def test_queued_request_accrues_wait(self):
-        service = AnalysisService(ServeConfig(workers=1, backlog=2))
+        service = AnalysisService(ServeConfig(workers=1, backlog=2,
+                                              chaos=_hold_200ms()))
         try:
             blocker = threading.Thread(
                 target=lambda: service.handle(
-                    _request("run", _slow_params())))
+                    _request("run", _run_params(seed=1))))
             blocker.start()
             while service.in_flight == 0:
                 time.sleep(0.005)
@@ -520,12 +530,12 @@ class TestProcessExecutor:
             assert first["result"]["value"] == "(1 3 6 10)"
             # kill -9 the (idle) engine worker: the next request must
             # still be served, by a silently respawned worker.
-            pids = server.service._engine.worker_pids()
+            pids = server.service._farm.worker_pids()
             assert pids
             os.kill(pids[0], signal.SIGKILL)
             deadline = time.time() + 5.0
             while time.time() < deadline and \
-                    server.service._engine.worker_pids():
+                    server.service._farm.worker_pids():
                 time.sleep(0.02)
             stream.write(request_line(
                 "analyze", {"source": FIG5, "function": "f5"},

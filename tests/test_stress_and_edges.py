@@ -86,7 +86,7 @@ def run(source, expr, mode):
 _DEEP_CHECKS = {
     "serve": _DEEP_PRELUDE + """
 service = AnalysisService(ServeConfig(workers=1))
-served = service.handle(Request(id=1, op="run", params={
+served = service.handle(Request(id=1, op="run", deadline_ms=600_000, params={
     "source": DN, "expr": "(dn 5000)", "eval_mode": "interpreter"}))
 service.close()
 print(json.dumps({
