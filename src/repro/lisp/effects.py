@@ -9,6 +9,13 @@ operations cost one time step; process creation and context switches are
 "noticeably more expensive than function invocation" — the machine
 charges :class:`SpawnProcess` and rescheduling from its
 :class:`~repro.runtime.clock.CostModel`, not from here.
+
+Effects are slotted dataclasses; the value effects (:class:`Tick`, the
+memory, variable and lock effects) compare and hash by value.  They are
+not frozen, because a frozen dataclass's ``__init__`` sets each field
+through ``object.__setattr__`` (about 480 ns against 200 ns for a
+``Tick``), but nothing may mutate an effect once built: the compiled
+evaluator yields one shared ``Tick`` per opcode from every process.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ class Effect:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Tick(Effect):
     """Consume ``cost`` simulated time units doing ``op``.
 
@@ -37,7 +44,7 @@ class Tick(Effect):
     op: str = "step"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MemRead(Effect):
     """Read ``field`` of ``cell`` (a Cons or StructInstance)."""
 
@@ -45,7 +52,7 @@ class MemRead(Effect):
     field: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MemWrite(Effect):
     """Write ``field`` of ``cell``.  The store itself is performed by the
     evaluator *after* the driver lets this effect through; the driver can
@@ -56,20 +63,20 @@ class MemWrite(Effect):
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarRead(Effect):
     """Read of a free (non-local) variable — used by escape analysis."""
 
     name: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarWrite(Effect):
     name: Any
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LockAcquire(Effect):
     """Block until the lock named ``key`` is held.
 
@@ -82,13 +89,13 @@ class LockAcquire(Effect):
     shared: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LockRelease(Effect):
     key: Any
     shared: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class SpawnProcess(Effect):
     """Create a process evaluating ``thunk`` (a 0-arg generator factory).
 
@@ -101,14 +108,14 @@ class SpawnProcess(Effect):
     label: str = "child"
 
 
-@dataclass
+@dataclass(slots=True)
 class WaitFuture(Effect):
     """Block until ``future`` is resolved; reply is its value."""
 
     future: Any
 
 
-@dataclass
+@dataclass(slots=True)
 class WaitChildren(Effect):
     """Block until every process spawned (transitively) by this process
     has finished — a Cilk-style join.  The DPS wrapper uses it so a
@@ -116,7 +123,7 @@ class WaitChildren(Effect):
     because spawns run depth-first to completion."""
 
 
-@dataclass
+@dataclass(slots=True)
 class QueuePut(Effect):
     """Append ``item`` to the task queue named ``queue``."""
 
@@ -124,7 +131,7 @@ class QueuePut(Effect):
     item: Any
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueGet(Effect):
     """Block for the next item of ``queue``; reply is the item.
 
@@ -137,7 +144,7 @@ class QueueGet(Effect):
     poison_ok: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueGetAny(Effect):
     """Block for an item from the lowest-indexed nonempty queue.
 
@@ -151,7 +158,7 @@ class QueueGetAny(Effect):
     queues: list
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueClose(Effect):
     queue: Any
 
@@ -159,14 +166,14 @@ class QueueClose(Effect):
 QUEUE_CLOSED = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class Output(Effect):
     """A ``print`` — collected by the driver in sequential order of emission."""
 
     value: Any
 
 
-@dataclass
+@dataclass(slots=True)
 class Annotate(Effect):
     """Out-of-band marker for traces (head/tail boundaries, invocation ids)."""
 

@@ -12,6 +12,13 @@ difference is cost.  ``Symbol.__hash__`` is a Python-level method, run
 on every dict operation, while a ``str`` caches its hash inside
 CPython.  Callers pass names; the compiler computes them once, at
 compile time.
+
+Compiled code reads and writes a binding in the innermost frame, or
+the one outside it, through ``bindings`` directly when the compiler
+knows those frames (see :data:`repro.lisp.compile.Scope`), and comes
+here for every other name.  That is sound because a frame gains no name
+after it is built, except the global frame and a ``let*`` frame while
+its inits run.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from repro.lisp.effects import (
     MemWrite,
     SpawnProcess,
     Tick,
+    WaitFuture,
 )
 from repro.lisp.builtins import builtin_table
 from repro.lisp.env import Environment, binding_key
@@ -274,9 +275,6 @@ class Interpreter:
         a strict read of a slot holding an unresolved future blocks the
         reading process until the producing invocation resolves it.
         """
-        from repro.lisp.effects import WaitFuture
-        from repro.lisp.values import Future
-
         if isinstance(obj, Future):
             if obj.resolved:
                 obj = obj.value

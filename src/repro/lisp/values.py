@@ -23,9 +23,10 @@ class Closure:
     ``(env, args) -> effect generator`` built by :mod:`repro.lisp.compile`
     the first time the closure is applied in compiled mode.  ``None``
     until then; the interpreter never touches it.  ``compiled_site`` is
-    the definition site's shared proto cell (a list, empty until the
-    first application compiles the body), so every closure minted by the
-    same ``defun``/``lambda`` form shares one compiled body.
+    the definition site's shared cell ``[proto, scope]`` (``proto`` None
+    until the first application compiles the body in the site's static
+    scope), so every closure minted by the same ``defun``/``lambda`` form
+    shares one compiled body.
     """
 
     __slots__ = ("name", "params", "body", "env", "compiled", "compiled_site")
@@ -36,7 +37,7 @@ class Closure:
         self.body = body
         self.env = env
         self.compiled: Optional[Callable[..., Any]] = None
-        self.compiled_site: Optional[list[Callable[..., Any]]] = None
+        self.compiled_site: Optional[list[Any]] = None
 
     def __repr__(self) -> str:
         return f"#<function {self.name or 'lambda'}/{len(self.params)}>"

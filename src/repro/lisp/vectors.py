@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.lisp.effects import LockAcquire, LockRelease, MemRead, MemWrite, Tick
 from repro.lisp.errors import WrongType
-from repro.lisp.values import Builtin
+from repro.lisp.values import Builtin, Future
 
 _vector_ids = itertools.count(1)
 
@@ -75,8 +75,6 @@ def _gb_aref(interp: Any, vec: Any, index: Any):
     i = vec.check_index(index, "aref")
     yield MemRead(vec, str(i))
     value = vec.items[i]
-    from repro.lisp.values import Future
-
     if isinstance(value, Future) and value.resolved:
         return value.value
     return value

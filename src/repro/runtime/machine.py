@@ -31,14 +31,16 @@ Stepping: two steppers produce identical effect traces and statistics.
   that a min-heap costs more to maintain than to recompute), and the
   machine advances the clock in one batch, charging each processor
   ``delta`` ticks at once and skipping the idle decrement loop in
-  between.  When exactly one processor is engaged and the ready queue
-  is empty, its process *runs ahead*: each charge goes straight onto
-  the clock and the process resumes at once, with no scheduler pass,
-  until it blocks, finishes, or makes anything else able to act.  A
+  between.  The same one scan per step finds whether exactly one
+  processor is engaged; if so and the ready queue is empty, its
+  process *runs ahead*: each charge goes straight onto the clock and
+  the process resumes at once, with no scheduler pass, until it
+  blocks, finishes, or makes anything else able to act.  A
   fault plan reports how many upcoming ticks inject nothing
   (:meth:`FaultPlan.quiet_ticks`), so ``on_tick`` runs only on the
   ticks where a draw fires.  Batches and run-ahead stop short of
-  ``max_time`` and of the earliest lock-watchdog deadline, so both
+  ``max_time`` and of the earliest lock-watchdog deadline (read off an
+  index of the lock waiters, not a walk of every process), so both
   raise at exactly the tick the ticker would.  Per-tick statistics
   (concurrency samples, peak-live, busy counters) are reconstructed
   exactly; nothing observable distinguishes the two steppers.
@@ -113,7 +115,7 @@ class MachineTimeout(MachineError):
     """The run exceeded ``max_time`` ticks."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Process:
     """One simulated Lisp process."""
 
@@ -144,7 +146,7 @@ class Process:
         return f"<proc {self.proc_id} {self.label or ''} {self.state}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Cpu:
     index: int
     proc: Optional[Process] = None
@@ -255,6 +257,10 @@ class Machine:
         self._queue_waiters: dict[int, list[Process]] = {}
         self._any_waiters: list[tuple[Process, list]] = []  # (proc, queues)
         self._children_waiters: list[Process] = []
+        #: Processes queued on a lock, by pid: the watchdog and the
+        #: horizon read these instead of every process ever spawned.  A
+        #: spuriously woken waiter stays here (it is still queued).
+        self._lock_waiters: dict[int, Process] = {}
         self.outputs: list[Any] = []
         self.stats = MachineStats()
         #: Queue ids with quiescence-termination: when every live process
@@ -362,7 +368,8 @@ class Machine:
     def run(self) -> MachineStats:
         """Run until every process is done (or deadlock / time cap)."""
         while True:
-            self._assign_cpus()
+            if self.ready:
+                self._assign_cpus()
             if self._live == 0:
                 break
             engaged = False
@@ -512,14 +519,8 @@ class Machine:
         future or queue — only lock-queue ticks can trip the watchdog.
         """
         limit = self.lock_wait_timeout
-        for proc in self.processes.values():
-            if (
-                proc.state == "blocked"
-                and isinstance(proc.block_reason, tuple)
-                and proc.block_reason
-                and proc.block_reason[0] == "lock"
-                and self.time - proc.lock_wait_since > limit
-            ):
+        for proc in self._lock_waiters.values():
+            if proc.state == "blocked" and self.time - proc.lock_wait_since > limit:
                 blocked = [
                     p for p in self.processes.values() if p.state == "blocked"
                 ]
@@ -645,41 +646,14 @@ class Machine:
 
     # -- the event stepper -------------------------------------------------
 
-    def _next_event_delta(self) -> int:
-        """Ticks until the next engaged cpu runs out of charge (≥ 1).
-
-        A direct scan of the cpus: the machine simulates a handful of
-        processors, so the minimum over engaged charges is cheaper to
-        recompute per batch than to maintain in an event heap (which
-        paid a push per engagement plus stale-entry pops, for the same
-        answer).
-        """
-        best = 0
-        for cpu in self.cpus:
-            if cpu.overhead > 0:
-                remaining = cpu.overhead
-            else:
-                proc = cpu.proc
-                if proc is None:
-                    continue
-                remaining = proc.busy_remaining
-            if remaining > 0 and (best == 0 or remaining < best):
-                best = remaining
-        return best if best > 0 else 1
-
     def _horizon(self) -> int:
         """The first tick at which ``run`` must raise: ``max_time``, or
         the earliest tick at which the lock-wait watchdog would fire."""
         horizon = self.max_time
         limit = self.lock_wait_timeout
         if limit is not None:
-            for proc in self.processes.values():
-                if (
-                    proc.state == "blocked"
-                    and isinstance(proc.block_reason, tuple)
-                    and proc.block_reason
-                    and proc.block_reason[0] == "lock"
-                ):
+            for proc in self._lock_waiters.values():
+                if proc.state == "blocked":
                     horizon = min(horizon, proc.lock_wait_since + limit + 1)
         return horizon
 
@@ -692,10 +666,32 @@ class Machine:
         loop would have raised.  With a fault plan, the batch stops at
         the first tick the plan injects on; that tick runs the plan's
         ``on_tick`` as the ticker would.
+
+        One scan of the cpus counts the engaged ones and finds the
+        smallest charge among them: the machine simulates a handful of
+        processors, so the minimum is cheaper to recompute per step than
+        to maintain in an event heap.
         """
-        if self._run_ahead():
+        engaged = 0
+        lone: Any = None
+        delta = 0
+        for cpu in self.cpus:
+            if cpu.overhead > 0:
+                remaining = cpu.overhead
+            else:
+                proc = cpu.proc
+                if proc is None:
+                    continue
+                remaining = proc.busy_remaining
+            engaged += 1
+            lone = cpu
+            if remaining > 0 and (delta == 0 or remaining < delta):
+                delta = remaining
+        if engaged == 1 and not self.ready and lone.overhead == 0 \
+                and lone.proc.busy_remaining > 0 and self._run_ahead(lone):
             return
-        delta = self._next_event_delta()
+        if delta == 0:
+            delta = 1
         if delta > 1:
             cap = self._horizon() - self.time
             if delta > cap:
@@ -710,24 +706,18 @@ class Machine:
                 return
         self._advance(delta)
 
-    def _run_ahead(self) -> bool:
+    def _run_ahead(self, cpu: _Cpu) -> bool:
         """Run a lone process ahead of the scheduler loop.
 
-        While its cpu is the only engaged one and the ready queue is
-        empty, nothing else can act: each charge goes straight onto the
-        clock and the process resumes at once (``_charge_ahead``) until
-        it blocks, finishes, fills the ready queue, or a charge would
-        reach the horizon or a fault tick.  The ticks record what
-        ``_advance`` would.  Returns False if no tick was charged.
+        While its cpu is the only engaged one, with no overhead and a
+        charge pending, and the ready queue is empty, nothing else can
+        act: each charge goes straight onto the clock and the process
+        resumes at once (``_charge_ahead``) until it blocks, finishes,
+        fills the ready queue, or a charge would reach the horizon or a
+        fault tick.  The ticks record what ``_advance`` would.  Returns
+        False if no tick was charged; the cpus are then as the caller's
+        scan found them.
         """
-        if self.ready:
-            return False
-        engaged = [cpu for cpu in self.cpus
-                   if cpu.proc is not None or cpu.overhead > 0]
-        if len(engaged) != 1 or engaged[0].overhead > 0 \
-                or engaged[0].proc.busy_remaining == 0:
-            return False
-        cpu = engaged[0]
         proc = cpu.proc
         start = self.time
         live = self._live
@@ -1012,6 +1002,7 @@ class Machine:
             proc.block_reason = ("lock", effect.key)
             proc.lock_wait_since = self.time
             proc.pending_reply = None
+            self._lock_waiters[proc.proc_id] = proc
             return 0, True, None
         if isinstance(effect, LockRelease):
             if self.race_detector is not None:
@@ -1027,7 +1018,7 @@ class Machine:
                     args={"key": effect.key, "shared": effect.shared},
                 )
             for pid in granted:
-                waiter = self.processes[pid]
+                waiter = self._lock_waiters.pop(pid)
                 if self.race_detector is not None:
                     self.race_detector.on_acquire(pid, effect.key)
                 # The grantee still pays its lock_acquire cost on wake;

@@ -12,6 +12,9 @@ again, and once more with the redefinition made in the middle of a
 loop.  Values and effect streams must be the interpreter's, as in
 :mod:`tests.test_lisp_compile`.
 
+``spawn`` and ``(function f)`` sites keep their head the same way; the
+runner runs spawned calls, so the function a spawn resolved is seen.
+
 Frames are keyed by name: equal-named symbols of two tables, gensyms
 and lambda lists with non-symbol entries must bind as they always did.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lisp.errors import UnboundVariable
+from repro.lisp.errors import LispError, UnboundVariable
 from repro.lisp.interpreter import Interpreter
 from repro.lisp.runner import SequentialRunner
 from repro.lisp.values import Builtin
@@ -155,6 +158,96 @@ class TestRedefinition:
         # A macro shadows the function of its name from then on.
         assert values[::2] == [("ret", "3"), ("ret", "1"), ("ret", "4"),
                                ("ret", "4")]
+
+
+#: ``spawn`` and ``(function f)`` keep their head's resolution behind the
+#: definition token too.  The sequential runner runs a spawned call at
+#: once, so the function a spawn resolved shows in ``seen``.
+SPAWN_SITES = """
+(defun note (x) (setq seen (list 'old x)))
+(defun site-spawn (x) (spawn (note x)) seen)
+(defun site-function (x) (funcall #'note x))
+(defun site-spawn-mid (n)
+  (let ((i 0) (acc nil))
+    (while (> n i)
+      (spawn (note i))
+      (setq acc (cons (funcall (function note) (+ i 10)) (cons seen acc)))
+      (when (= i 1) (renote!))
+      (setq i (+ i 1)))
+    acc))
+"""
+
+SPAWN_CALLS = ["(site-spawn 1)", "(site-function 2)"]
+
+#: name -> the definition of ``renote!``.
+RENOTES = {
+    "defun": "(defun renote! () (defun note (x) (setq seen (list 'new x))))",
+    "defun-by-eval": "(defun renote! ()"
+                     " (eval '(defun note (x) (setq seen (list 'eval x)))))",
+    # A macro of the name leaves the function namespace, which is all
+    # spawn and #' read, as it was.
+    "defmacro": "(defun renote! () (defmacro note (x) (list 'quote x)))",
+}
+
+
+def _run_spawning(setup: str, exprs: list[str]) -> dict[str, list]:
+    """Per mode, each expression's value (or error) with the runner's
+    clock and trace after it; spawned calls run depth-first."""
+    runs = {}
+    for mode in ("interpreter", "compiled"):
+        runner = SequentialRunner(Interpreter(), eval_mode=mode)
+        runner.eval_text(setup)
+        seen = []
+        for text in exprs:
+            try:
+                value = ("ret", write_str(runner.eval_text(text)))
+            except LispError as err:
+                value = ("err", type(err).__name__, str(err))
+            seen.append((value, runner.time,
+                         [(e.time, e.kind, repr(e.detail))
+                          for e in runner.trace]))
+        runs[mode] = seen
+    assert runs["compiled"] == runs["interpreter"]
+    return runs["interpreter"]
+
+
+class TestSpawnAndFunctionHeads:
+    @pytest.mark.parametrize("case", sorted(RENOTES))
+    def test_sites_see_a_later_definition(self, case):
+        exprs = [*SPAWN_CALLS, "(renote!)", *SPAWN_CALLS]
+        runs = _run_spawning(SPAWN_SITES + RENOTES[case], exprs)
+        before = [run[0] for run in runs[:2]]
+        after = [run[0] for run in runs[3:]]
+        assert before == [("ret", "(old 1)"), ("ret", "(old 2)")]
+        if case == "defmacro":
+            assert after == before
+        else:
+            assert after != before
+
+    @pytest.mark.parametrize("case", sorted(RENOTES))
+    def test_a_redefinition_inside_a_running_loop(self, case):
+        (run,) = _run_spawning(SPAWN_SITES + RENOTES[case],
+                               ["(site-spawn-mid 4)"])
+        assert run[0][0] == "ret"
+
+    @pytest.mark.parametrize("text,want", [
+        # The head is resolved before the arguments are evaluated.
+        ("(spawn (nope (print 1)))",
+         ("err", "UndefinedFunction", "undefined function: nope")),
+        ("(funcall #'nope 1)",
+         ("err", "UndefinedFunction", "undefined function: nope")),
+    ])
+    def test_an_undefined_head_fails_at_the_same_point(self, text, want):
+        (run,) = _run_spawning("", [text])
+        assert run[0] == want
+        assert not run[2], "no output before the error"
+
+    def test_a_definition_after_a_failed_resolution(self):
+        runs = _run_spawning("", [
+            "(defun try () (spawn (late 1)) #'late)", "(try)",
+            "(defun late (x) (setq seen x))", "(list (try) seen)"])
+        assert runs[1][0][1] == "UndefinedFunction"
+        assert runs[3][0] == ("ret", "(#<function late/1> 1)")
 
 
 class TestWorldIsolation:
