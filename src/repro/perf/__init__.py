@@ -10,17 +10,15 @@ Three coordinated optimizations live behind this package:
    conflict tests, transfer-function powers — behind counting LRU
    caches (:mod:`repro.perf.cache`).
 3. **Batched machine stepping** — :class:`repro.runtime.machine.Machine`
-   defaults to an event-heap stepper that advances simulated time in
-   multi-tick batches while reproducing the per-tick stepper's effect
-   traces and statistics byte-for-byte.
+   steps with an event scheduler that advances simulated time in
+   multi-tick batches and reconstructs the per-tick statistics exactly.
 
-There is one code path: the caches and interning are always on, a
-Machine steps with the heap stepper and evaluates compiled code.  The
-reference implementations (the per-tick stepper, the interpreter, NFA
-simulation) are reached only by asking for them explicitly, as the
-differential tests do.  ``repro bench`` (:mod:`repro.perf.bench`)
-gates on counted work and yardstick-normalised time.  See
-``docs/performance.md``.
+There is one code path: the caches and interning are always on, and a
+Machine steps with the event scheduler and evaluates compiled code.
+The reference implementations (the interpreter, NFA simulation) are
+reached only by asking for them explicitly, as the differential tests
+do.  ``repro bench`` (:mod:`repro.perf.bench`) gates on counted work
+and yardstick-normalised time.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -46,42 +44,10 @@ __all__ = [
     "clear_caches",
     "named_caches",
     "publish_cache_stats",
-    "default_stepper",
-    "stepper_override",
     "default_eval_mode",
     "eval_mode_override",
     "EVAL_MODES",
 ]
-
-# Default Machine stepper when the caller does not pass one explicitly.
-# "heap" is the batched event-heap scheduler; "ticker" the legacy
-# per-tick polling loop kept as the differential-testing reference.
-_STEPPER_OVERRIDE: "str | None" = None
-
-
-def default_stepper() -> str:
-    """The stepper a Machine uses when none is requested: an active
-    :func:`stepper_override`, else ``"heap"``."""
-    return _STEPPER_OVERRIDE or "heap"
-
-
-@contextmanager
-def stepper_override(name: str) -> Iterator[None]:
-    """Force the default Machine stepper within a block.
-
-    Used by the differential tests to run the same workload under both
-    steppers without threading a parameter through every harness layer.
-    """
-    if name not in ("heap", "ticker"):
-        raise ValueError(f"unknown stepper {name!r}")
-    global _STEPPER_OVERRIDE
-    previous = _STEPPER_OVERRIDE
-    _STEPPER_OVERRIDE = name
-    try:
-        yield
-    finally:
-        _STEPPER_OVERRIDE = previous
-
 
 #: The two evaluation strategies for the Lisp substrate.  "interpreter"
 #: is the generator-style reference evaluator; "compiled" is the

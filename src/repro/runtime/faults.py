@@ -67,9 +67,8 @@ class FaultPlan:
 
     def on_tick(self, machine: "Machine") -> None:
         """Called on a clock tick, after the clock moves and before
-        processors advance.  The ticker calls it on every tick; the heap
-        stepper only on the ticks :meth:`quiet_ticks` did not report
-        quiet."""
+        processors advance: on every tick that :meth:`quiet_ticks` did
+        not report quiet."""
 
     def quiet_ticks(self, machine: "Machine", limit: int) -> int:
         """The look-ahead: how many of the next ``limit`` ticks

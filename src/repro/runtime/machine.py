@@ -18,39 +18,34 @@ interleavings in tests — randomization may only *reorder ready picks*,
 never violate lock FIFO order, so transformed programs must still
 produce sequential results under it.
 
-Stepping: two steppers produce identical effect traces and statistics.
-
-* ``"ticker"`` — the original per-tick polling loop: advance the clock
-  one tick, call the fault plan's ``on_tick``, decrement every busy
-  processor, resume whoever hit zero.  Kept verbatim as the
-  differential-testing reference.
-* ``"heap"`` (default) — an event scheduler.  Every engaged processor
-  has a known remaining charge (its busy time or context-switch
-  overhead); the minimum over those charges yields the next
-  interesting instant (a direct scan — the cpu count is small enough
-  that a min-heap costs more to maintain than to recompute), and the
-  machine advances the clock in one batch, charging each processor
-  ``delta`` ticks at once and skipping the idle decrement loop in
-  between.  The same one scan per step finds whether exactly one
-  processor is engaged; if so and the ready queue is empty, its
-  process *runs ahead*: each charge goes straight onto the clock and
-  the process resumes at once, with no scheduler pass, until it
-  blocks, finishes, or makes anything else able to act.  A
-  fault plan reports how many upcoming ticks inject nothing
-  (:meth:`FaultPlan.quiet_ticks`), so ``on_tick`` runs only on the
-  ticks where a draw fires.  Batches and run-ahead stop short of
-  ``max_time`` and of the earliest lock-watchdog deadline (read off an
-  index of the lock waiters, not a walk of every process), so both
-  raise at exactly the tick the ticker would.  Per-tick statistics
-  (concurrency samples, peak-live, busy counters) are reconstructed
-  exactly; nothing observable distinguishes the two steppers.
+Stepping: an event scheduler.  Every engaged processor has a known
+remaining charge (its busy time or context-switch overhead); the
+minimum over those charges is the next interesting instant (a direct
+scan — the cpu count is small enough that a min-heap costs more to
+maintain than to recompute), and the machine advances the clock in one
+batch, charging each processor ``delta`` ticks at once and skipping
+the idle decrements in between.  The same one scan per step finds
+whether exactly one processor is engaged; if so and the ready queue is
+empty, its process *runs ahead*: each charge goes straight onto the
+clock and the process resumes at once, with no scheduler pass, until
+it blocks, finishes, or makes anything else able to act.  A fault plan
+reports how many upcoming ticks inject nothing
+(:meth:`FaultPlan.quiet_ticks`), so ``on_tick`` runs only on the ticks
+where a draw fires.  Batches and run-ahead stop short of ``max_time``
+and of the earliest lock-watchdog deadline (read off an index of the
+lock waiters, not a walk of every process), so both raise at exactly
+the tick a one-tick-at-a-time loop would.  Per-tick statistics
+(concurrency samples, peak-live, busy counters) are reconstructed
+exactly.  The tests keep that per-tick loop as a ``Machine`` subclass
+that overrides :meth:`Machine._step` (``tests/ticker.py``) and check
+that nothing observable tells the two apart.
 """
 
 from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.lisp.effects import (
     Annotate,
@@ -211,7 +206,6 @@ class Machine:
         lock_wait_timeout: Optional[int] = None,
         recorder: Optional[Recorder] = None,
         rng: Optional[_random.Random] = None,
-        stepper: Optional[str] = None,
         eval_mode: Optional[str] = None,
     ):
         if processors < 1:
@@ -230,13 +224,6 @@ class Machine:
         self.rng = rng if rng is not None else _random.Random(seed)
         self.trace = trace if trace is not None else Trace()
         self.max_time = max_time
-        if stepper is None:
-            from repro.perf import default_stepper
-
-            stepper = default_stepper()
-        if stepper not in ("heap", "ticker"):
-            raise ValueError(f"unknown stepper {stepper!r}")
-        self.stepper = stepper
         if eval_mode is None:
             from repro.perf import default_eval_mode
 
@@ -279,13 +266,8 @@ class Machine:
         #: with no recorder the machine's behavior and effect trace are
         #: byte-identical to an uninstrumented run.
         self.recorder = recorder
-        #: Fault plans run on either stepper; the heap stepper calls
-        #: ``on_tick`` only on the ticks its look-ahead says inject.
-        self._step: Callable[[], None] = (
-            self._step_batched if stepper == "heap" else self._tick
-        )
-        #: Incrementally-maintained count of processes not yet done —
-        #: replaces the ticker's O(processes) scan per loop iteration.
+        #: Count of processes not yet done, kept as they spawn and
+        #: finish, so no step scans every process.
         self._live = 0
         #: While a lone process runs ahead, the tick its charges must
         #: stay below (``_horizon``); 0 otherwise.
@@ -616,34 +598,6 @@ class Machine:
             self._resume(cpu, proc)
             proc = cpu.proc
 
-    def _tick(self) -> None:
-        """The per-tick reference stepper (``stepper="ticker"``)."""
-        self.time += 1
-        if self.faults is not None:
-            self.faults.on_tick(self)
-        busy_count = 0
-        for cpu in self.cpus:
-            if cpu.overhead > 0:
-                cpu.overhead -= 1
-                cpu.busy_time += 1
-                busy_count += 1
-                if cpu.overhead == 0 and cpu.proc is not None:
-                    self._kick(cpu)
-                continue
-            proc = cpu.proc
-            if proc is None:
-                continue
-            busy_count += 1
-            cpu.busy_time += 1
-            proc.busy_total += 1
-            if proc.busy_remaining > 0:
-                proc.busy_remaining -= 1
-            if proc.busy_remaining == 0:
-                self._kick(cpu)
-        self.stats.sample(busy_count)
-        live = sum(1 for p in self.processes.values() if p.state != "done")
-        self.stats.peak_live_processes = max(self.stats.peak_live_processes, live)
-
     # -- the event stepper -------------------------------------------------
 
     def _horizon(self) -> int:
@@ -657,15 +611,15 @@ class Machine:
                     horizon = min(horizon, proc.lock_wait_since + limit + 1)
         return horizon
 
-    def _step_batched(self) -> None:
+    def _step(self) -> None:
         """One event step: run a lone process ahead, or advance straight
         to the next event.
 
         The batch is capped so that ``max_time`` and the lock-wait
-        watchdog still observe exactly the tick at which the per-tick
+        watchdog still observe exactly the tick at which a per-tick
         loop would have raised.  With a fault plan, the batch stops at
         the first tick the plan injects on; that tick runs the plan's
-        ``on_tick`` as the ticker would.
+        ``on_tick`` before any processor is charged.
 
         One scan of the cpus counts the engaged ones and finds the
         smallest charge among them: the machine simulates a handful of
@@ -757,17 +711,16 @@ class Machine:
                  faults: Optional[FaultPlan] = None) -> None:
         """Charge every engaged cpu ``delta`` ticks at once.
 
-        Equivalent to ``delta`` ticker iterations: by construction no
+        Equivalent to ``delta`` one-tick steps: by construction no
         charge expires strictly inside the batch, so the intermediate
         ticks are pure decrements — engagement, the busy count, and the
         live-process count are all constant until the final tick's
         kicks.  Per-tick statistics are therefore reconstructible: each
         of the ``delta`` concurrency samples equals the batch's busy
         count, mid-batch ticks observe the pre-kick live count, and the
-        final tick observes the post-kick one — matching the ticker's
-        sample-after-kick order.  ``faults`` is passed for a one-tick
-        batch on which the plan injects: its ``on_tick`` runs after the
-        clock moves and before any cpu is charged, as in ``_tick``.
+        final tick observes the post-kick one.  ``faults`` is passed
+        for a one-tick batch on which the plan injects: its ``on_tick``
+        runs after the clock moves and before any cpu is charged.
         """
         self.time += delta
         if faults is not None:

@@ -1,11 +1,11 @@
 """Differential test: the event-heap stepper is observationally
 identical to the per-tick ticker.
 
-The heap stepper (``Machine(stepper="heap")``, the default while the
-perf layer is enabled) batches ticks between scheduler events instead
-of polling every tick.  Its correctness argument: the batch delta never
-crosses a counter expiry, so every skipped tick would have been a pure
-decrement.  This test is the empirical lock-down — for every golden
+The heap stepper (``Machine``'s own) batches ticks between scheduler
+events; the ticker (``tests.ticker.TickerMachine``) polls every tick,
+and a test picks one by class.  The heap stepper's correctness
+argument: the batch delta never crosses a counter expiry, so every
+skipped tick would have been a pure decrement.  This test is the empirical lock-down — for every golden
 workload, both steppers must produce the *same effect trace, outputs,
 result, and machine statistics*, with and without a flight recorder.
 
@@ -17,8 +17,7 @@ projection handles them the same way).
 Fault plans run on the heap stepper too: it asks the plan how many
 ticks are quiet and calls ``on_tick`` only where a draw fires.  The
 faulted cases below additionally pin the plan's side of the contract —
-the same injections and the same final RNG state as under the ticker —
-and that the heap run never falls back to the ticker.
+the same injections and the same final RNG state as under the ticker.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.harness import chaos
+from repro.harness import chaos, runner
 from repro.harness.chaos import (
     misdeclared_workload,
     paper_workloads,
@@ -41,12 +40,12 @@ from repro.lisp.interpreter import Interpreter
 from repro.obs import Recorder, chrome_trace_dict
 from repro.obs.golden import diff_projections, structural_projection
 from repro.obs.workloads import run_trace_workload, trace_workloads
-from repro.perf import stepper_override
 from repro.runtime.faults import SeededFaultPlan, fault_matrix
-from repro.runtime.machine import Machine, MachineError
+from repro.runtime.machine import MachineError
 from repro.sexpr.printer import write_str
 from repro.transform.pipeline import Curare
 from tests.test_property_obs import fault_plans
+from tests.ticker import STEPPERS
 
 WORKLOADS = ("fig06", "fig07", "fig10")
 
@@ -71,12 +70,17 @@ def _canonical_trace(machine):
     return events
 
 
-def _run(name: str, stepper: str, with_recorder: bool):
+def _runs_on(machine, stepper: str) -> bool:
+    """Whether ``machine`` steps with the stepper named ``stepper``."""
+    return type(machine)._step is STEPPERS[stepper]._step
+
+
+def _run(monkeypatch, name: str, stepper: str, with_recorder: bool):
     recorder = Recorder() if with_recorder else None
-    with stepper_override(stepper):
-        run = run_trace_workload(trace_workloads()[name], recorder)
+    monkeypatch.setattr(runner, "Machine", STEPPERS[stepper])
+    run = run_trace_workload(trace_workloads()[name], recorder)
     machine = run.extra["machine"]
-    assert machine.stepper == stepper
+    assert _runs_on(machine, stepper)
     stats = run.stats
     return {
         "result": run.result_text,
@@ -104,9 +108,9 @@ def _run(name: str, stepper: str, with_recorder: bool):
 @pytest.mark.parametrize("with_recorder", [False, True],
                          ids=["bare", "recorded"])
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_heap_stepper_matches_ticker(name, with_recorder):
-    ticker = _run(name, "ticker", with_recorder)
-    heap = _run(name, "heap", with_recorder)
+def test_heap_stepper_matches_ticker(monkeypatch, name, with_recorder):
+    ticker = _run(monkeypatch, name, "ticker", with_recorder)
+    heap = _run(monkeypatch, name, "heap", with_recorder)
     assert heap["result"] == ticker["result"]
     assert heap["outputs"] == ticker["outputs"]
     assert heap["stats"] == ticker["stats"]
@@ -117,14 +121,12 @@ def test_heap_stepper_matches_ticker(name, with_recorder):
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_heap_stepper_matches_ticker_random_schedule(name):
+def test_heap_stepper_matches_ticker_random_schedule(monkeypatch, name):
     """Same equivalence under the seeded random scheduling policy."""
-    with stepper_override("ticker"):
-        ticker = run_trace_workload(trace_workloads()[name], Recorder(),
-                                    seed=7)
-    with stepper_override("heap"):
-        heap = run_trace_workload(trace_workloads()[name], Recorder(),
-                                  seed=7)
+    monkeypatch.setattr(runner, "Machine", STEPPERS["ticker"])
+    ticker = run_trace_workload(trace_workloads()[name], Recorder(), seed=7)
+    monkeypatch.setattr(runner, "Machine", STEPPERS["heap"])
+    heap = run_trace_workload(trace_workloads()[name], Recorder(), seed=7)
     assert heap.result_text == ticker.result_text
     assert heap.stats.total_time == ticker.stats.total_time
     assert (_canonical_trace(heap.extra["machine"])
@@ -156,18 +158,12 @@ def _plan_state(plan):
 
 
 def _recording_machine(stepper, machines):
-    """A Machine class that remembers its instances; on the heap
-    stepper, entering the per-tick loop fails the test."""
+    """The class that runs ``stepper``, remembering its instances."""
 
-    class RecordingMachine(Machine):
+    class RecordingMachine(STEPPERS[stepper]):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             machines.append(self)
-
-        def _tick(self):
-            if self.stepper == "heap":
-                raise AssertionError("the heap stepper entered _tick")
-            super()._tick()
 
     return RecordingMachine
 
@@ -177,10 +173,9 @@ def _chaos_cell(monkeypatch, workload, plan_index, sched_seed, stepper):
     monkeypatch.setattr(chaos, "Machine",
                         _recording_machine(stepper, machines))
     plan = fault_matrix(FAULT_SEED)[plan_index]
-    with stepper_override(stepper):
-        outcome = run_chaos_case(workload, plan, sched_seed=sched_seed)
+    outcome = run_chaos_case(workload, plan, sched_seed=sched_seed)
     (machine,) = machines
-    assert machine.stepper == stepper
+    assert _runs_on(machine, stepper)
     # Failure messages name cells by their process-global ids.
     outcome = {
         key: re.sub(r"\d+(?=, ')", "#", value)
@@ -230,14 +225,15 @@ class _CountingPlan(SeededFaultPlan):
 
 
 @pytest.mark.parametrize("plan_index", range(len(PLANS)), ids=PLANS)
-def test_heap_calls_on_tick_only_where_a_draw_fires(plan_index):
+def test_heap_calls_on_tick_only_where_a_draw_fires(monkeypatch,
+                                                     plan_index):
     workload = CHAOS_WORKLOADS["fig5-prefix-sum"]
     template = fault_matrix(FAULT_SEED)[plan_index]
     plans = {}
     for stepper in ("ticker", "heap"):
         plans[stepper] = plan = _CountingPlan(template.seed, template.rates)
-        with stepper_override(stepper):
-            outcome = run_chaos_case(workload, plan, sched_seed=3)
+        monkeypatch.setattr(chaos, "Machine", STEPPERS[stepper])
+        outcome = run_chaos_case(workload, plan, sched_seed=3)
         assert outcome.status == "ok"
     ticker, heap = plans["ticker"], plans["heap"]
     assert ticker.calls == outcome.concurrent_time
@@ -256,11 +252,11 @@ def _run_trace_workload(name, stepper, plan, seed, recorder,
     curare.load_program(workload.program)
     curare.transform(workload.fname)
     curare.runner.eval_text(workload.setup)
-    machine = Machine(
+    machine = STEPPERS[stepper](
         interp, processors=workload.processors,
         policy="random" if seed is not None else "fifo",
         rng=random.Random(seed) if seed is not None else None,
-        faults=plan, recorder=recorder, stepper=stepper,
+        faults=plan, recorder=recorder,
         eval_mode=eval_mode, lock_wait_timeout=5_000, max_time=400_000,
     )
     main = machine.spawn_text(

@@ -24,6 +24,7 @@ from repro.runtime.machine import (
     MachineError,
     MachineTimeout,
 )
+from tests.ticker import STEPPERS
 
 
 class TestErrorContext:
@@ -225,8 +226,8 @@ def _stop_run(stepper, make_plan, spawns, processors=2, **limits):
     interp = Interpreter()
     SequentialRunner(interp).eval_text(STOP_PROGRAM)
     plan = make_plan()
-    machine = Machine(interp, processors=processors, faults=plan,
-                      stepper=stepper, **limits)
+    machine = STEPPERS[stepper](interp, processors=processors, faults=plan,
+                                **limits)
     for label, form in spawns:
         machine.spawn_text(form, label=label)
     try:
@@ -334,8 +335,8 @@ class TestRunAheadStopsExactly:
 
         runs = {}
         for stepper in ("ticker", "heap"):
-            machine = Machine(Interpreter(), processors=3,
-                              cost_model=FREE_SYNC, stepper=stepper)
+            machine = STEPPERS[stepper](Interpreter(), processors=3,
+                                        cost_model=FREE_SYNC)
             machine.spawn(busy(), label="busy")
             machine.spawn(spawner(), label="spawner")
             with pytest.raises(DeadlockDetected) as err:

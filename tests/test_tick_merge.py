@@ -37,9 +37,9 @@ from repro.runtime.machine import (
     MachineStats,
     MachineTimeout,
 )
-from tests import test_machine_differential as differential
 from tests.test_machine_differential import _plan_state, _run_trace_workload
 from tests.test_runtime_machine_errors import STOP_PROGRAM, _cells, _stop_run
+from tests.ticker import STEPPERS
 
 WORKLOADS = ("fig06", "fig07", "fig10")
 FAULT_SEED = 5
@@ -218,13 +218,13 @@ def test_runs_match_the_per_tick_samples(monkeypatch, name, plan_name,
                                          stepper):
     machines = []
 
-    class Recording(Machine):
+    class Recording(STEPPERS[stepper]):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             machines.append(self)
 
     monkeypatch.setattr(machine_module, "MachineStats", _PerTickStats)
-    monkeypatch.setattr(differential, "Machine", Recording)
+    monkeypatch.setitem(STEPPERS, stepper, Recording)
     _run_trace_workload(name, stepper, _make_plan(plan_name)(), 7,
                         Recorder())
     (machine,) = machines
