@@ -655,10 +655,10 @@ class Machine:
             quiet = faults.quiet_ticks(self, delta)
             if quiet < delta:
                 if quiet:
-                    self._advance(quiet)
-                self._advance(1, faults)
+                    self._advance(quiet, engaged)
+                self._advance(1, engaged, faults)
                 return
-        self._advance(delta)
+        self._advance(delta, engaged)
 
     def _run_ahead(self, cpu: _Cpu) -> bool:
         """Run a lone process ahead of the scheduler loop.
@@ -707,49 +707,54 @@ class Machine:
             self.stats.sample(1, quiet)
         return cost - quiet
 
-    def _advance(self, delta: int,
+    def _advance(self, delta: int, busy: int,
                  faults: Optional[FaultPlan] = None) -> None:
-        """Charge every engaged cpu ``delta`` ticks at once.
+        """Charge every engaged cpu ``delta`` ticks at once; ``busy`` is
+        how many are engaged.
 
         Equivalent to ``delta`` one-tick steps: by construction no
         charge expires strictly inside the batch, so the intermediate
         ticks are pure decrements — engagement, the busy count, and the
         live-process count are all constant until the final tick's
         kicks.  Per-tick statistics are therefore reconstructible: each
-        of the ``delta`` concurrency samples equals the batch's busy
-        count, mid-batch ticks observe the pre-kick live count, and the
-        final tick observes the post-kick one.  ``faults`` is passed
-        for a one-tick batch on which the plan injects: its ``on_tick``
-        runs after the clock moves and before any cpu is charged.
+        of the ``delta`` concurrency samples equals ``busy``, mid-batch
+        ticks observe the pre-kick live count, and the final tick
+        observes the post-kick one.  The samples are recorded before
+        the first kick, so a run that raises inside a kick keeps every
+        tick it ran.  ``faults`` is passed for a one-tick batch on which
+        the plan injects: its ``on_tick`` runs after the clock moves and
+        before any cpu is charged, and may stall an idle cpu or preempt
+        a busy one, so the engaged cpus are counted again after it.
         """
         self.time += delta
+        stats = self.stats
         if faults is not None:
             faults.on_tick(self)
-        live_before = self._live
-        busy_count = 0
+            busy = 0
+            for cpu in self.cpus:
+                if cpu.overhead > 0 or cpu.proc is not None:
+                    busy += 1
+        stats.sample(busy, delta)
+        if delta > 1 and self._live > stats.peak_live_processes:
+            stats.peak_live_processes = self._live
         for cpu in self.cpus:
             if cpu.overhead > 0:
                 cpu.overhead -= delta
                 cpu.busy_time += delta
-                busy_count += 1
                 if cpu.overhead == 0 and cpu.proc is not None:
                     self._kick(cpu)
                 continue
             proc = cpu.proc
             if proc is None:
                 continue
-            busy_count += 1
             cpu.busy_time += delta
             proc.busy_total += delta
             if proc.busy_remaining > 0:
                 proc.busy_remaining -= delta
             if proc.busy_remaining == 0:
                 self._kick(cpu)
-        self.stats.sample(busy_count, delta)
-        if delta > 1 and live_before > self.stats.peak_live_processes:
-            self.stats.peak_live_processes = live_before
-        if self._live > self.stats.peak_live_processes:
-            self.stats.peak_live_processes = self._live
+        if self._live > stats.peak_live_processes:
+            stats.peak_live_processes = self._live
 
     # -- effect handling ---------------------------------------------------
 

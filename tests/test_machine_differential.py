@@ -203,6 +203,23 @@ def test_faulted_heap_matches_ticker(monkeypatch, name, plan_index,
     assert heap == ticker
 
 
+@pytest.mark.parametrize("stepper", ["heap", "ticker"])
+def test_a_detected_race_keeps_the_samples_of_every_tick(monkeypatch,
+                                                        stepper):
+    """The misdeclared cell's race is raised inside a kick; the tick it
+    is raised on still counts in ``concurrency_runs``."""
+    machines = []
+    monkeypatch.setattr(chaos, "Machine",
+                        _recording_machine(stepper, machines))
+    plan = fault_matrix(FAULT_SEED)[PLANS.index("mixed")]
+    outcome = run_chaos_case(CHAOS_WORKLOADS["wipe-misdeclared"], plan,
+                             sched_seed=3)
+    (machine,) = machines
+    assert outcome.recovery_cause.startswith("race:")
+    runs = machine.stats.concurrency_runs
+    assert sum(ticks for _, ticks in runs) == machine.time > 0
+
+
 class _CountingPlan(SeededFaultPlan):
     """Counts ``on_tick`` calls, and the calls in which a draw fired."""
 

@@ -344,3 +344,45 @@ class TestRunAheadStopsExactly:
             runs[stepper] = (err.value.clock, machine.stats)
         assert runs["heap"] == runs["ticker"]
         assert runs["heap"][1].peak_live_processes == 3
+
+
+# -- a run that raises keeps the samples of every tick it ran -------------
+
+#: ``x`` is unbound inside the future, so its process fails on the tick
+#: its loop first reads it; in compiled mode that read ends a merged
+#: tick run, inside a kick of a multi-tick batch.
+UNBOUND_IN_FUTURE = """
+(funcall (let ((x (touch (future (let ((i 0) (acc 0))
+  (while (< i 3) (setq acc (+ acc x)) (setq i (1+ i))) acc)))))
+  (lambda () x)))
+"""
+
+
+class TestErrorKeepsItsSamples:
+    """A process error raised inside a kick ends the run on that tick;
+    the tick still counts, in both eval modes and on both steppers."""
+
+    @staticmethod
+    def _failed_run(stepper, mode):
+        machine = STEPPERS[stepper](Interpreter(), processors=2,
+                                    eval_mode=mode)
+        machine.spawn_text(UNBOUND_IN_FUTURE)
+        with pytest.raises(LispError, match="unbound variable: x"):
+            machine.run()
+        return machine
+
+    def test_stats_equal_in_both_eval_modes_on_both_steppers(self):
+        runs = [self._failed_run(stepper, mode)
+                for stepper in ("heap", "ticker")
+                for mode in ("interpreter", "compiled")]
+        first = runs[0]
+        for machine in runs[1:]:
+            assert machine.time == first.time
+            assert machine.stats == first.stats
+
+    @pytest.mark.parametrize("mode", ["interpreter", "compiled"])
+    @pytest.mark.parametrize("stepper", ["heap", "ticker"])
+    def test_samples_sum_to_the_clock_at_the_error(self, stepper, mode):
+        machine = self._failed_run(stepper, mode)
+        runs = machine.stats.concurrency_runs
+        assert sum(ticks for _, ticks in runs) == machine.time > 0

@@ -23,26 +23,26 @@ class TickerMachine(Machine):
         self.time += 1
         if self.faults is not None:
             self.faults.on_tick(self)
-        busy_count = 0
+        # Sample before the first kick: a kick that raises ends the run
+        # on this tick, and the tick still counts.
+        self.stats.sample(sum(
+            1 for cpu in self.cpus if cpu.overhead > 0 or cpu.proc is not None))
         for cpu in self.cpus:
             if cpu.overhead > 0:
                 cpu.overhead -= 1
                 cpu.busy_time += 1
-                busy_count += 1
                 if cpu.overhead == 0 and cpu.proc is not None:
                     self._kick(cpu)
                 continue
             proc = cpu.proc
             if proc is None:
                 continue
-            busy_count += 1
             cpu.busy_time += 1
             proc.busy_total += 1
             if proc.busy_remaining > 0:
                 proc.busy_remaining -= 1
             if proc.busy_remaining == 0:
                 self._kick(cpu)
-        self.stats.sample(busy_count)
         live = sum(1 for p in self.processes.values() if p.state != "done")
         self.stats.peak_live_processes = max(self.stats.peak_live_processes, live)
 
