@@ -86,11 +86,6 @@ class FaultPlan:
         """
         return 0
 
-    def pick_ready(self, machine: "Machine", ready: list) -> Optional[int]:
-        """Return an index into ``ready`` to force that pick, or None to
-        let the machine's own policy choose."""
-        return None
-
     def grant_delay(self, machine: "Machine", proc_id: int, key: object) -> int:
         """Extra ticks between a FIFO lock grant and the grantee waking."""
         return 0
@@ -224,11 +219,6 @@ class SeededFaultPlan(FaultPlan):
                     self._fired = draw
                     return quiet
         return limit
-
-    def pick_ready(self, machine: "Machine", ready: list) -> Optional[int]:
-        # Shuffling already perturbs pick order; a per-pick override
-        # would double-charge the budget, so only shuffle is used.
-        return None
 
     def grant_delay(self, machine: "Machine", proc_id: int, key: object) -> int:
         rates = self.rates

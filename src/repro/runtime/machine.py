@@ -461,10 +461,6 @@ class Machine:
         self._registered_queues[queue.queue_id] = queue
 
     def _pick_ready(self) -> Process:
-        if self.faults is not None and self.ready:
-            index = self.faults.pick_ready(self, self.ready)
-            if index is not None:
-                return self.ready.pop(index)
         if self.policy == "random" and len(self.ready) > 1:
             index = self.rng.randrange(len(self.ready))
             return self.ready.pop(index)
