@@ -64,13 +64,6 @@ class MemWrite(Effect):
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class VarRead(Effect):
-    """Read of a free (non-local) variable — used by escape analysis."""
-
-    name: Any
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class VarWrite(Effect):
     name: Any
     value: Any

@@ -37,7 +37,6 @@ from repro.lisp.effects import (
     QueuePut,
     SpawnProcess,
     Tick,
-    VarRead,
     VarWrite,
     WaitFuture,
 )
@@ -131,7 +130,7 @@ class SequentialRunner:
                 self.time, 0, "write", location_of(effect.cell, effect.field)
             )
             return None
-        if isinstance(effect, (VarRead, VarWrite)):
+        if isinstance(effect, VarWrite):
             return None
         if isinstance(effect, LockAcquire):
             self.trace.record(self.time, 0, "lock", effect.key, effect.shared)

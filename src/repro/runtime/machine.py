@@ -62,7 +62,6 @@ from repro.lisp.effects import (
     QueuePut,
     SpawnProcess,
     Tick,
-    VarRead,
     VarWrite,
     WaitFuture,
 )
@@ -121,15 +120,12 @@ class Process:
     parent: Optional[int] = None
     state: str = "ready"  # ready | running | blocked | done
     busy_remaining: int = 0
-    block_since: int = 0
-    #: Tick at which the process entered a lock wait queue.  Set *only*
-    #: by the LockAcquire-blocked path (unlike ``block_since``, which any
-    #: blocking effect refreshes), so the lock-wait watchdog and the
-    #: ``machine.lock.wait_ticks`` histogram count lock-queue ticks only
-    #: and can never be inflated by an earlier future/queue block.
+    #: Tick at which the process entered a lock wait queue, set only
+    #: when a LockAcquire blocks: the lock-wait watchdog and the
+    #: ``machine.lock.wait_ticks`` histogram count lock-queue ticks,
+    #: never the ticks of an earlier future or queue block.
     lock_wait_since: int = 0
     pending_reply: Any = None
-    wake_reply: Any = None
     block_reason: Any = None
     result: Any = None
     children: list[int] = field(default_factory=list)
@@ -781,8 +777,8 @@ class Machine:
                     f"process {proc.proc_id} ({proc.label or 'unnamed'}) "
                     f"failed at t={self.time}: {err}"
                 ) from err
-            # Ticks dominate the effect stream; handle them without the
-            # dispatch chain (same outcome as _handle's Tick arm).
+            # Ticks dominate the effect stream; handle them here, ahead
+            # of _handle's dispatch chain.
             if effect.__class__ is Tick:
                 cost = effect.cost
                 if cost > 0 and self._ahead_limit:
@@ -796,7 +792,6 @@ class Machine:
             cost, blocked, reply = self._handle(proc, effect)
             if blocked:
                 proc.state = "blocked"
-                proc.block_since = self.time
                 cpu.proc = None
                 return
             if cost > 0 and self._ahead_limit:
@@ -860,7 +855,6 @@ class Machine:
                     },
                 )
             for waiter in self._future_waiters.pop(proc.future.future_id, []):
-                waiter.wake_reply = value
                 waiter.pending_reply = value
                 waiter.state = "ready"
                 waiter.block_reason = None
@@ -910,9 +904,8 @@ class Machine:
         return False
 
     def _handle(self, proc: Process, effect: Any) -> tuple[int, bool, Any]:
-        """Returns (cost, blocked, reply)."""
-        if isinstance(effect, Tick):
-            return effect.cost, False, None
+        """Returns (cost, blocked, reply).  ``_resume`` handles every
+        ``Tick`` before it calls this."""
         if isinstance(effect, MemRead):
             loc = location_of(effect.cell, effect.field)
             self.trace.record(self.time, proc.proc_id, "read", loc)
@@ -925,7 +918,7 @@ class Machine:
             if self.race_detector is not None:
                 self._checked_access("write", proc, loc)
             return 1, False, None
-        if isinstance(effect, (VarRead, VarWrite)):
+        if isinstance(effect, VarWrite):
             return 0, False, None
         if isinstance(effect, LockAcquire):
             got = self.locks.acquire(proc.proc_id, effect.key, effect.shared)

@@ -37,7 +37,6 @@ from repro.lisp.effects import (
     MemWrite,
     Output,
     Tick,
-    VarRead,
     VarWrite,
 )
 from repro.lisp.errors import (
@@ -203,8 +202,6 @@ def _fingerprint(interp: Interpreter, form, mode: str) -> list[tuple]:
                 ("write", canon(effect.cell), effect.field,
                  write_str(effect.value))
             )
-        elif isinstance(effect, VarRead):
-            events.append(("varread", str(effect.name)))
         elif isinstance(effect, VarWrite):
             events.append(("varwrite", str(effect.name)))
         elif isinstance(effect, Output):

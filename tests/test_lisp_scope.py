@@ -350,7 +350,6 @@ class TestEffectValues:
         (effects.MemRead, ("c", "car"), "MemRead(cell='c', field='car')"),
         (effects.MemWrite, ("c", "cdr", 1),
          "MemWrite(cell='c', field='cdr', value=1)"),
-        (effects.VarRead, ("v",), "VarRead(name='v')"),
         (effects.VarWrite, ("v", 2), "VarWrite(name='v', value=2)"),
         (effects.LockAcquire, (("c", "car"), True),
          "LockAcquire(key=('c', 'car'), shared=True)"),
@@ -368,7 +367,7 @@ class TestEffectValues:
         (effects.Annotate, ("spawn-call", {"f": 1}),
          "Annotate(kind='spawn-call', data={'f': 1})"),
     ]
-    HASHED = {effects.Tick, effects.MemRead, effects.MemWrite, effects.VarRead,
+    HASHED = {effects.Tick, effects.MemRead, effects.MemWrite,
               effects.VarWrite, effects.LockAcquire, effects.LockRelease}
 
     def test_every_effect_class_is_covered(self):
