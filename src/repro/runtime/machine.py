@@ -667,6 +667,7 @@ class Machine:
         proc = cpu.proc
         start = self.time
         live = self._live
+        stats = self.stats
         self._ahead_limit = self._horizon()
         try:
             proc.busy_remaining = self._charge_ahead(
@@ -675,12 +676,13 @@ class Machine:
                 self._resume(cpu, proc)
         finally:
             self._ahead_limit = 0
+            # Every tick before the last saw ``live`` processes, also
+            # when the last tick's resume raised.
+            if self.time - start > 1 and live > stats.peak_live_processes:
+                stats.peak_live_processes = live
         ticks = self.time - start
-        if ticks:
-            stats = self.stats
-            stats.peak_live_processes = max(
-                stats.peak_live_processes, self._live,
-                live if ticks > 1 else 0)
+        if ticks and self._live > stats.peak_live_processes:
+            stats.peak_live_processes = self._live
         return ticks > 0
 
     def _charge_ahead(self, cpu: _Cpu, proc: Process, cost: int) -> int:

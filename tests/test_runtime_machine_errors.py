@@ -345,6 +345,35 @@ class TestRunAheadStopsExactly:
         assert runs["heap"] == runs["ticker"]
         assert runs["heap"][1].peak_live_processes == 3
 
+    def test_peak_live_survives_a_run_ahead_that_raises(self):
+        """The same start, but the lone process fails on its last tick:
+        the ticks before it still saw three live processes."""
+        queue = TaskQueue()
+
+        def busy():
+            for _ in range(10):
+                yield Tick(2)
+            raise LispError("boom")
+
+        def parked():
+            yield QueueGet(queue)
+
+        def spawner():
+            yield SpawnProcess(thunk=parked, label="child")
+            yield QueueGet(queue)
+
+        runs = {}
+        for stepper in ("ticker", "heap"):
+            machine = STEPPERS[stepper](Interpreter(), processors=3,
+                                        cost_model=FREE_SYNC)
+            machine.spawn(busy(), label="busy")
+            machine.spawn(spawner(), label="spawner")
+            with pytest.raises(LispError, match="boom"):
+                machine.run()
+            runs[stepper] = (machine.time, machine.stats)
+        assert runs["heap"] == runs["ticker"]
+        assert runs["heap"][1].peak_live_processes == 3
+
 
 # -- a run that raises keeps the samples of every tick it ran -------------
 
