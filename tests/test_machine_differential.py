@@ -5,9 +5,10 @@ The heap stepper (``Machine``'s own) batches ticks between scheduler
 events; the ticker (``tests.ticker.TickerMachine``) polls every tick,
 and a test picks one by class.  The heap stepper's correctness
 argument: the batch delta never crosses a counter expiry, so every
-skipped tick would have been a pure decrement.  This test is the empirical lock-down — for every golden
-workload, both steppers must produce the *same effect trace, outputs,
-result, and machine statistics*, with and without a flight recorder.
+skipped tick would have been a pure decrement.  This test is the
+empirical lock-down — for every golden workload, both steppers must
+produce the *same effect trace, outputs, result, and machine
+statistics*, with and without a flight recorder.
 
 Effect traces are compared after canonicalizing process-global cons-cell
 ids (the interpreter allocates them from one process-wide counter, so
