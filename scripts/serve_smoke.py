@@ -29,7 +29,7 @@ if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
 from repro.serve import (
-    ReproServer,
+    AnalysisService,
     ServeConfig,
     decode_response,
     request_line,
@@ -146,7 +146,7 @@ def deadline_exceeded(address) -> None:
         print("ok: tiny deadline -> deadline_exceeded")
 
 
-def graceful_drain(server: ReproServer, address) -> None:
+def graceful_drain(server: AnalysisService, address) -> None:
     server.request_drain()
     if not server.stop(timeout=30.0):
         fail("server did not drain within 30s")
@@ -161,7 +161,7 @@ def graceful_drain(server: ReproServer, address) -> None:
 
 def main() -> int:
     config = ServeConfig(workers=4, backlog=16)
-    server = ReproServer(config)
+    server = AnalysisService(config)
     address = server.start()
     runner = threading.Thread(target=server.serve_forever, daemon=True)
     runner.start()

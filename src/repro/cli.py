@@ -70,7 +70,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro import api
 
@@ -522,10 +522,41 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _finish_observability(recorder, args)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _serve_until_drained(server, role: str, detail: str, chaos,
+                         tally: Tuple[Tuple[str, str], ...], recorder,
+                         args: argparse.Namespace) -> int:
+    """The lifecycle ``repro serve``, ``route`` and ``cache-serve``
+    share: bind (exit 2 on failure), print the banner and the armed
+    chaos plan, drain on SIGINT/SIGTERM, serve until drained, then
+    print ``tally``'s counters as (counter, label) pairs."""
     import signal
 
-    from repro.serve import ReproServer, RequestFaultPlan, ServeConfig
+    try:
+        host, port = server.start()
+    except OSError as err:
+        print(f";; {role}: cannot bind {args.host}:{args.port}: {err}",
+              file=sys.stderr)
+        return 2
+    print(f";; {role}: listening on {host}:{port} ({detail})", flush=True)
+    if chaos is not None:
+        print(f";; {role}: chaos {chaos.describe()}", flush=True)
+
+    def _request_drain(_signum, _frame):
+        print(f";; {role}: drain requested", flush=True)
+        server.request_drain()
+
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, _request_drain)
+    server.serve_forever()
+    counters = server.counters()
+    counts = ", ".join(f"{counters.get(name, 0)} {label}"
+                       for name, label in tally)
+    print(f";; {role}: drained ({counts})", flush=True)
+    return _finish_observability(recorder, args)
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve import AnalysisService, RequestFaultPlan, ServeConfig
 
     if args.workers < 1 or args.backlog < 0:
         print(";; serve: --workers must be >= 1 and --backlog >= 0",
@@ -547,39 +578,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_server=args.cache_server,
         recorder=recorder,
     )
-    server = ReproServer(config)
-    try:
-        host, port = server.start()
-    except OSError as err:
-        print(f";; serve: cannot bind {args.host}:{args.port}: {err}",
-              file=sys.stderr)
-        return 2
-    print(f";; serve: listening on {host}:{port} "
-          f"({config.workers} {config.executor} worker(s), "
-          f"backlog {config.backlog})",
-          flush=True)
-    if chaos is not None:
-        print(f";; serve: chaos {chaos.describe()}", flush=True)
-
-    def _request_drain(_signum, _frame):
-        print(";; serve: drain requested", flush=True)
-        server.request_drain()
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, _request_drain)
-    server.serve_forever()
-    counters = server.service.counters()
-    print(f";; serve: drained "
-          f"({counters.get('serve.request.ok', 0)} ok, "
-          f"{counters.get('serve.request.rejected', 0)} rejected, "
-          f"{counters.get('serve.request.deadline_exceeded', 0)} "
-          f"deadline-exceeded)", flush=True)
-    return _finish_observability(recorder, args)
+    return _serve_until_drained(
+        AnalysisService(config), "serve",
+        f"{config.workers} {config.executor} worker(s), "
+        f"backlog {config.backlog}", chaos,
+        (("serve.request.ok", "ok"), ("serve.request.rejected", "rejected"),
+         ("serve.request.deadline_exceeded", "deadline-exceeded")),
+        recorder, args)
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    import signal
-
     from repro.fleet.router import RouterConfig, ShardRouter, parse_backend
     from repro.serve import FleetFaultPlan
 
@@ -615,41 +623,18 @@ def cmd_route(args: argparse.Namespace) -> int:
         chaos=chaos,
         recorder=recorder,
     )
-    router = ShardRouter(config)
-    try:
-        host, port = router.start()
-    except OSError as err:
-        print(f";; route: cannot bind {args.host}:{args.port}: {err}",
-              file=sys.stderr)
-        return 2
-    print(f";; route: listening on {host}:{port} "
-          f"({len(config.backends)} backend(s), "
-          f"{config.attempts} attempt(s), "
-          f"fallback {'on' if config.fallback else 'off'})",
-          flush=True)
-    if chaos is not None:
-        print(f";; route: chaos {chaos.describe()}", flush=True)
-
-    def _request_drain(_signum, _frame):
-        print(";; route: drain requested", flush=True)
-        router.request_drain()
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, _request_drain)
-    router.serve_forever()
-    counters = router.counters()
-    print(f";; route: drained "
-          f"({counters.get('fleet.request.ok', 0)} ok, "
-          f"{counters.get('fleet.route.failovers', 0)} failover(s), "
-          f"{counters.get('fleet.fallback', 0)} fallback(s), "
-          f"{counters.get('fleet.cache.hits', 0)} cache hit(s))",
-          flush=True)
-    return _finish_observability(recorder, args)
+    return _serve_until_drained(
+        ShardRouter(config), "route",
+        f"{len(config.backends)} backend(s), "
+        f"{config.attempts} attempt(s), "
+        f"fallback {'on' if config.fallback else 'off'}", chaos,
+        (("fleet.request.ok", "ok"), ("fleet.route.failovers", "failover(s)"),
+         ("fleet.fallback", "fallback(s)"),
+         ("fleet.cache.hits", "cache hit(s)")),
+        recorder, args)
 
 
 def cmd_cache_serve(args: argparse.Namespace) -> int:
-    import signal
-
     from repro.serve import CacheServeConfig, CacheServer
 
     recorder = _make_recorder(args)
@@ -660,31 +645,12 @@ def cmd_cache_serve(args: argparse.Namespace) -> int:
         drain_timeout=args.drain_timeout,
         recorder=recorder,
     )
-    server = CacheServer(config)
-    try:
-        host, port = server.start()
-    except OSError as err:
-        print(f";; cache-serve: cannot bind {args.host}:{args.port}: {err}",
-              file=sys.stderr)
-        return 2
-    print(f";; cache-serve: listening on {host}:{port} "
-          f"(root {config.root})", flush=True)
-
-    def _request_drain(_signum, _frame):
-        print(";; cache-serve: drain requested", flush=True)
-        server.request_drain()
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, _request_drain)
-    server.serve_forever()
-    counters = server.counters()
-    print(f";; cache-serve: drained "
-          f"({counters.get('cache.server.hits', 0)} hit(s), "
-          f"{counters.get('cache.server.misses', 0)} miss(es), "
-          f"{counters.get('cache.server.stores', 0)} store(s), "
-          f"{counters.get('cache.server.rejected_puts', 0)} rejected "
-          f"put(s))", flush=True)
-    return _finish_observability(recorder, args)
+    return _serve_until_drained(
+        CacheServer(config), "cache-serve", f"root {config.root}", None,
+        (("cache.server.hits", "hit(s)"), ("cache.server.misses", "miss(es)"),
+         ("cache.server.stores", "store(s)"),
+         ("cache.server.rejected_puts", "rejected put(s)")),
+        recorder, args)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:

@@ -131,7 +131,7 @@ def run_fleet_chaos(seed: int = 0, backends: int = 3, requests: int = 24,
             if response.get("ok"):
                 outcome["result"] = response.get("result", {})
             outcomes.append(outcome)
-        stats = router._stats()  # noqa: SLF001 - same-package diagnostics
+        stats = router.control_body("stats")
     finally:
         if router is not None:
             router.stop(timeout=10.0)

@@ -42,7 +42,9 @@ Draining: the ``drain`` control op with ``params.backend`` bleeds one
 backend out of the ring — membership changes first, then the backend
 itself is asked to drain, so stragglers racing the membership change
 get ``shutting_down`` and retry onto the new owner.  Without
-``params.backend`` the router itself drains.
+``params.backend`` the router itself drains, and like every server on
+the shell (:class:`~repro.serve.server.NdjsonServer`) answers new work
+with ``shutting_down`` from then on.
 
 Rejoining: with ``auto_rejoin`` (the default) a bled backend stays on
 the health prober's schedule.  Once the prober has seen it *down* and
@@ -93,19 +95,17 @@ from repro.serve.protocol import (
     ERR_INTERNAL,
     ERR_UNAVAILABLE,
     ERROR_CODES,
-    ProtocolError,
     Request,
     encode,
     error_response,
     ok_response,
-    parse_request,
 )
 from repro.serve.server import (
     Flight,
     NdjsonServer,
     SingleFlight,
-    Telemetry,
-    engine_call,
+    engine_outcome,
+    outcome_response,
 )
 
 
@@ -187,9 +187,8 @@ class ShardRouter(NdjsonServer):
     """The self-healing NDJSON front over a fleet of backends."""
 
     def __init__(self, config: RouterConfig = RouterConfig()):
-        super().__init__(host=config.host, port=config.port,
-                         drain_timeout=config.drain_timeout)
-        self.config = config
+        super().__init__(config, "fleet.request", PID_FLEET,
+                         chaos=config.chaos)
         self._ring = HashRing(vnodes=config.vnodes)
         self._backends: Dict[str, _Backend] = {}
         self._members_lock = threading.Lock()
@@ -199,9 +198,6 @@ class ShardRouter(NdjsonServer):
             max_delay_s=config.retry_max_delay_s,
             rng=Random(config.seed),
         )
-        self.telemetry = Telemetry(config.recorder, "fleet.request",
-                                   PID_FLEET)
-        self._count = self.telemetry.count
         self._flights = SingleFlight()
         self._drained_members: Dict[str, _Drained] = {}
         self._store = None
@@ -212,7 +208,6 @@ class ShardRouter(NdjsonServer):
             # never on the event loop.
             api.engine_fingerprints()
         self._fallback_lock = threading.Lock()
-        self._started = time.perf_counter()
         for spec in config.backends:
             self.add_backend(spec)
         self._prober = HealthProber(
@@ -293,9 +288,6 @@ class ShardRouter(NdjsonServer):
 
     # -- observability -----------------------------------------------------
 
-    def counters(self) -> Dict[str, int]:
-        return self.telemetry.counters()
-
     def _breaker_transition(self, name: str):
         def on_transition(frm: str, to: str) -> None:
             del frm
@@ -331,7 +323,7 @@ class ShardRouter(NdjsonServer):
         self._prober.start()
         return address
 
-    def on_drain(self) -> None:
+    def close(self) -> None:
         self._prober.stop()
         if self._store is not None:
             self._store.close()
@@ -416,23 +408,18 @@ class ShardRouter(NdjsonServer):
             self._dispatch_line(conn, line, pool)
 
     def _dispatch_line(self, conn: _Conn, line: bytes, pool) -> None:
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
-            return
         start = time.perf_counter()
-        try:
-            request = parse_request(text)
-        except ProtocolError as err:
-            self.on_bad_request()
-            self._reply(conn, encode(error_response(
-                err.request_id, ERR_BAD_REQUEST, str(err))))
+        request, answer = self._parse_line(line)
+        if request is None:
+            if answer:
+                self._reply(conn, answer)
             return
-        if request.op in CONTROL_OPS:
+        if request.op in CONTROL_OPS or self.draining:
             if request.op == "drain" and request.params.get("backend"):
                 # Bleeding a backend round-trips to it; off the loop.
                 pool.submit(self._control_reply, conn, request)
             else:
-                self._reply(conn, encode(self._handle_control(request)))
+                self._reply(conn, encode(self.handle(request)))
             return
         keys = self._keys(request)
         cached = self._remembered(keys[1])
@@ -446,7 +433,7 @@ class ShardRouter(NdjsonServer):
             pool.submit(self._routed_reply, conn, request, keys, start)
 
     def _control_reply(self, conn: _Conn, request: Request) -> None:
-        self._reply(conn, encode(self._handle_control(request)))
+        self._reply(conn, encode(self.handle(request)))
 
     def _routed_reply(self, conn: _Conn, request: Request,
                       keys: Tuple[str, Optional[str]], start: float) -> None:
@@ -468,110 +455,73 @@ class ShardRouter(NdjsonServer):
 
     # -- request handling --------------------------------------------------
 
-    def handle_request(self, request: Request) -> Dict[str, Any]:
-        if request.op in CONTROL_OPS:
-            return self._handle_control(request)
-        return self._route(request)
-
-    def on_bad_request(self) -> None:
-        self._count("fleet.request.bad_request")
-
-    def _handle_control(self, request: Request) -> Dict[str, Any]:
+    def handle(self, request: Request) -> Dict[str, Any]:
+        backend = request.params.get("backend")
+        if request.op != "drain" or backend is None:
+            return super().handle(request)
+        # A drain with params.backend bleeds that backend; the router
+        # itself keeps serving.
         start = time.perf_counter()
         self._count("fleet.control")
-        if request.op == "drain":
-            backend = request.params.get("backend")
-            if backend is not None:
-                if not isinstance(backend, str):
-                    return error_response(
-                        request.id, ERR_BAD_REQUEST,
-                        "params.backend must be a host:port string")
-                body = self.bleed_backend(backend)
-            else:
-                self.request_drain()
-                body = {"kind": "drain", "status": "draining",
-                        "ring": self.ring_members()}
-        elif request.op == "health":
-            body = self._health()
-        else:
-            body = self._stats()
-        return ok_response(request.id, request.op, body,
+        if not isinstance(backend, str):
+            return error_response(
+                request.id, ERR_BAD_REQUEST,
+                "params.backend must be a host:port string")
+        return ok_response(request.id, "drain", self.bleed_backend(backend),
                            (time.perf_counter() - start) * 1000.0)
 
-    def _health(self) -> Dict[str, Any]:
-        probes = self._prober.snapshot()
-        with self._members_lock:
-            backends = {
-                name: {
-                    "breaker": backend.breaker.state,
-                    "healthy": probes.get(name, {}).get("healthy"),
-                }
-                for name, backend in sorted(self._backends.items())
-            }
-        with self._members_lock:
-            drained = sorted(self._drained_members)
-        return {
-            "kind": "health",
-            "role": "router",
-            "status": "draining" if self._drain_requested.is_set() else "ok",
-            "ring": self.ring_members(),
-            "backends": backends,
-            "drained": drained,
-        }
+    def handle_op(self, request: Request, start: float) -> Dict[str, Any]:
+        return self._route(request, self._keys(request), start)
 
-    def _stats(self) -> Dict[str, Any]:
+    def control_fields(self, op: str) -> Dict[str, Any]:
+        ring = self.ring_members()
+        if op == "drain":
+            return {"ring": ring}
         probes = self._prober.snapshot()
         with self._members_lock:
-            backends = {
-                name: {
-                    "breaker": backend.breaker.snapshot(),
-                    "probe": probes.get(name),
-                    "sent": backend.sent,
-                    "ok": backend.ok,
-                    "failed": backend.failed,
+            members = sorted(self._backends.items())
+            if op == "health":
+                backends = {
+                    name: {"breaker": backend.breaker.state,
+                           "healthy": probes.get(name, {}).get("healthy")}
+                    for name, backend in members
                 }
-                for name, backend in sorted(self._backends.items())
-            }
-        with self._members_lock:
+            else:
+                backends = {
+                    name: {"breaker": backend.breaker.snapshot(),
+                           "probe": probes.get(name),
+                           "sent": backend.sent,
+                           "ok": backend.ok,
+                           "failed": backend.failed}
+                    for name, backend in members
+                }
             drained = sorted(self._drained_members)
-        entries = len(self._store) if self._store is not None else 0
-        body: Dict[str, Any] = {
-            "kind": "stats",
-            "role": "router",
-            "status": "draining" if self._drain_requested.is_set() else "ok",
-            "ring": self.ring_members(),
-            "vnodes": self.config.vnodes,
-            "attempts": self.config.attempts,
-            "fallback": self.config.fallback,
-            "cache": {"size": self.config.cache_size, "entries": entries},
-            "backends": backends,
-            "drained": drained,
-            "counters": self.counters(),
-            "uptime_s": round(time.perf_counter() - self._started, 3),
-        }
-        if self.config.cache_server:
-            body["shared_cache"] = {
-                "server": self.config.cache_server,
-                **self._store.stats(),
-            }
-        if self.config.chaos is not None:
-            body["chaos"] = self.config.chaos.describe()
-        return body
+        fields: Dict[str, Any] = {"role": "router", "ring": ring,
+                                  "backends": backends, "drained": drained}
+        if op == "stats":
+            entries = len(self._store) if self._store is not None else 0
+            fields.update(
+                vnodes=self.config.vnodes,
+                attempts=self.config.attempts,
+                fallback=self.config.fallback,
+                cache={"size": self.config.cache_size, "entries": entries},
+            )
+            if self.config.cache_server:
+                fields["shared_cache"] = {
+                    "server": self.config.cache_server,
+                    **self._store.stats(),
+                }
+        return fields
 
     # -- the routing core --------------------------------------------------
 
-    def _route(self, request: Request,
-               keys: Optional[Tuple[str, Optional[str]]] = None,
-               start: Optional[float] = None,
+    def _route(self, request: Request, keys: Tuple[str, Optional[str]],
+               start: float,
                cached: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         # ``start`` is when the request line was parsed (so time queued
         # behind the routing pool counts against the deadline);
         # ``cached`` is a payload the event loop already read from the
         # memory tier.
-        if start is None:
-            start = time.perf_counter()
-        if keys is None:
-            keys = self._keys(request)
         tid = self.telemetry.track()
         self.telemetry.span("B", tid, {"op": request.op,
                                        "key": keys[0][:12]})
@@ -642,7 +592,7 @@ class ShardRouter(NdjsonServer):
                     self._store.put(store_key, outcome[1])
         finally:
             self._flights.publish(flight, outcome)
-        return (self._outcome_response(outcome, request, start), route)
+        return (outcome_response(request, outcome, start), route)
 
     def _await_flight(self, flight: Flight, request: Request,
                       start: float) -> Tuple[Dict[str, Any], str]:
@@ -668,15 +618,7 @@ class ShardRouter(NdjsonServer):
             self._count(f"fleet.request.error.{outcome[1]}")
         route = "coalesced" if outcome[0] == "ok" \
             else f"coalesced:{outcome[1]}"
-        return (self._outcome_response(outcome, request, start), route)
-
-    @staticmethod
-    def _outcome_response(outcome: Tuple, request: Request,
-                          start: float) -> Dict[str, Any]:
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        if outcome[0] == "ok":
-            return ok_response(request.id, request.op, outcome[1], wall_ms)
-        return error_response(request.id, outcome[1], outcome[2], wall_ms)
+        return (outcome_response(request, outcome, start), route)
 
     def _route_backends(self, request: Request, key: str,
                         start: float) -> Tuple[Tuple, str]:
@@ -806,20 +748,9 @@ class ShardRouter(NdjsonServer):
         # defense, not a second fleet — one request at a time bounds
         # the blast radius of a total backend outage.
         with self._fallback_lock:
-            try:
-                result = engine_call(request.op, dict(request.params))
-            except api.ApiError as err:
-                code = err.code if err.code in ERROR_CODES else ERR_INTERNAL
-                self._count(f"fleet.request.error.{code}")
-                return (("error", code, str(err)), f"fallback:{code}")
-            except (TypeError, ValueError) as err:
-                self._count(f"fleet.request.error.{ERR_BAD_REQUEST}")
-                return (("error", ERR_BAD_REQUEST, f"bad params: {err}"),
-                        "fallback:bad_request")
-            except Exception as err:  # noqa: BLE001 - the last line of
-                self._count(f"fleet.request.error.{ERR_INTERNAL}")  # defense
-                return (("error", ERR_INTERNAL,
-                         f"{type(err).__name__}: {err}"),
-                        "fallback:internal")
-        self._count("fleet.request.ok")
-        return (("ok", result), "fallback")
+            outcome = engine_outcome(request.op, request.params)
+        if outcome[0] == "ok":
+            self._count("fleet.request.ok")
+            return outcome, "fallback"
+        self._count(f"fleet.request.error.{outcome[1]}")
+        return outcome, f"fallback:{outcome[1]}"

@@ -41,7 +41,6 @@ from repro.serve.server import (
     EXECUTORS,
     AnalysisService,
     NdjsonServer,
-    ReproServer,
     ServeConfig,
     SingleFlight,
     Telemetry,
@@ -68,7 +67,6 @@ __all__ = [
     "OPS",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "ReproServer",
     "Request",
     "RequestFaultPlan",
     "ServeConfig",

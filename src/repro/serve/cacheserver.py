@@ -16,9 +16,11 @@ clients re-verify every ``cache-get`` before trusting it (a poisoned
 *server* degrades to a miss, never a wrong answer).
 
 Ops: ``cache-get {key}`` → ``{found, entry}``; ``cache-put {key,
-entry}`` → ``{stored}``; plus the standard ``health`` / ``stats`` /
-``drain`` controls.  Engine ops get a typed ``bad_request`` — this is
-a cache, point ``analyze`` at ``repro serve``.
+entry}`` → ``{stored}``; plus the ``health`` / ``stats`` / ``drain``
+controls the shell answers.  Once a drain is requested, gets and puts
+alike answer ``shutting_down``, which the store's client reads as a
+miss.  Engine ops get a typed ``bad_request`` — this is a cache, point
+``analyze`` at ``repro serve``.
 
 Per the serve/fleet import-boundary rule, the store is opened through
 the :func:`repro.api.open_result_store` facade; this module never
@@ -35,12 +37,11 @@ from typing import Any, Dict, Optional
 from repro import api
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
-    ERR_SHUTTING_DOWN,
     Request,
     error_response,
     ok_response,
 )
-from repro.serve.server import NdjsonServer, Telemetry
+from repro.serve.server import NdjsonServer
 
 _KEY_LEN = 64
 _HEX = set("0123456789abcdef")
@@ -66,39 +67,15 @@ class CacheServer(NdjsonServer):
     """The NDJSON front over one shared entry store."""
 
     def __init__(self, config: CacheServeConfig = CacheServeConfig()):
-        super().__init__(host=config.host, port=config.port,
-                         drain_timeout=config.drain_timeout)
-        self.config = config
-        self.telemetry = Telemetry(config.recorder)
-        self._count = self.telemetry.count
+        super().__init__(config, "cache.server")
         self._store = api.open_result_store(config.root)
         # One disk operation at a time: a get that discards a bad entry
         # must not race a put of a good one into the same slot.
         self._store_lock = threading.Lock()
-        self._draining = False
-        self._started = time.perf_counter()
-
-    def counters(self) -> Dict[str, int]:
-        return self.telemetry.counters()
 
     # -- request handling ---------------------------------------------------
 
-    def handle_request(self, request: Request) -> Dict[str, Any]:
-        start = time.perf_counter()
-        if request.op == "health":
-            return ok_response(request.id, "health", {
-                "kind": "health",
-                "status": "draining" if self._draining else "ok",
-                "role": "cache",
-            }, (time.perf_counter() - start) * 1000.0)
-        if request.op == "stats":
-            return ok_response(request.id, "stats", self._stats(),
-                               (time.perf_counter() - start) * 1000.0)
-        if request.op == "drain":
-            self._draining = True
-            self.request_drain()
-            return ok_response(request.id, "drain", {"draining": True},
-                               (time.perf_counter() - start) * 1000.0)
+    def handle_op(self, request: Request, start: float) -> Dict[str, Any]:
         if request.op == "cache-get":
             return self._get(request, start)
         if request.op == "cache-put":
@@ -124,9 +101,6 @@ class CacheServer(NdjsonServer):
                            (time.perf_counter() - start) * 1000.0)
 
     def _put(self, request: Request, start: float) -> Dict[str, Any]:
-        if self._draining:
-            return error_response(request.id, ERR_SHUTTING_DOWN,
-                                  "cache server is draining")
         key = request.params.get("key")
         if not _valid_key(key):
             self._count("cache.server.bad_request")
@@ -147,27 +121,16 @@ class CacheServer(NdjsonServer):
         return ok_response(request.id, "cache-put", {"stored": True},
                            (time.perf_counter() - start) * 1000.0)
 
-    def _stats(self) -> Dict[str, Any]:
-        with self._store_lock:
-            store = self._store.stats()
-        return {
-            "kind": "stats",
-            "role": "cache",
-            "status": "draining" if self._draining else "ok",
-            "root": str(self._store.root),
-            "counters": self.counters(),
-            "store": store,
+    def control_fields(self, op: str) -> Dict[str, Any]:
+        if op == "drain":
+            return {}
+        fields: Dict[str, Any] = {"role": "cache"}
+        if op == "stats":
+            with self._store_lock:
+                fields["store"] = self._store.stats()
+            fields["root"] = str(self._store.root)
             # The serving host's own stage fingerprints: comparing these
             # across shards diagnoses mixed-code-version fleets (keys
             # simply stop matching; see docs/operations.md).
-            "fingerprints": api.engine_fingerprints(),
-            "uptime_s": round(time.perf_counter() - self._started, 3),
-        }
-
-    # -- drain hooks --------------------------------------------------------
-
-    def on_bad_request(self) -> None:
-        self._count("cache.server.bad_request")
-
-    def on_drain_begin(self) -> None:
-        self._draining = True
+            fields["fingerprints"] = api.engine_fingerprints()
+        return fields

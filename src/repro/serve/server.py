@@ -1,22 +1,34 @@
-"""A long-lived concurrent analysis service over :mod:`repro.api`.
+"""The one server shell, and ``repro serve`` behind it.
 
-Three layers:
-
-* :class:`AnalysisService` — socket-free engine host: a thread pool
-  over the facade with **bounded admission** (explicit ``overloaded``
-  rejection once ``workers + backlog`` requests are in the house —
-  never unbounded queueing), **per-request deadlines** (a waiter whose
-  deadline passes gets ``deadline_exceeded``; when *every* waiter of a
-  computation has given up — or every waiter's deadline has already
-  expired by the time a worker picks the job up — the computation is
-  cancelled before it touches the engine), **single-flight coalescing**
-  (:class:`SingleFlight`: identical in-flight requests, keyed on the
-  content-addressed digest of ``(op, params)``, compute once and fan
-  the result out to every waiter), an optional **shared result store**
-  (with ``cache_server``, one store lookup per coalesced group, then
-  the engine, then a store of the success), and **graceful drain** (new
-  engine work refused with ``shutting_down``; in-flight work completes
-  and is delivered).
+* :class:`NdjsonServer` — the shell of every server: ``repro serve``,
+  ``repro cache-serve`` (:mod:`repro.serve.cacheserver`) and the shard
+  router (:mod:`repro.fleet.router`).  It owns the NDJSON/TCP front
+  (one reader thread per connection, one request processed per
+  connection at a time, responses written in request order) and the
+  control plane.  :meth:`NdjsonServer.handle` is the one entry, with
+  or without a socket: it answers ``health``, ``stats`` and ``drain``
+  itself, refuses every other op with ``shutting_down`` once drain is
+  requested, and hands the rest to the server's op handler.  The shell
+  writes the common fields of each control body (``kind`` and
+  ``status``; for ``stats`` also ``counters``, ``uptime_s`` and the
+  chaos plan when one is armed), and each server adds its own.  A
+  drain stops accepting, lets open connections finish and deliver
+  their in-flight work, then releases the server's resources.
+* :class:`AnalysisService` — ``repro serve``, the engine host: a
+  thread pool over the facade with **bounded admission** (explicit
+  ``overloaded`` rejection once ``workers + backlog`` requests are in
+  the house — never unbounded queueing), **per-request deadlines** (a
+  waiter whose deadline passes gets ``deadline_exceeded``; when
+  *every* waiter of a computation has given up — or every waiter's
+  deadline has already expired by the time a worker picks the job up —
+  the computation is cancelled before it touches the engine),
+  **single-flight coalescing** (:class:`SingleFlight`: identical
+  in-flight requests, keyed on the content-addressed digest of ``(op,
+  params)``, compute once and fan the result out to every waiter), and
+  an optional **shared result store** (with ``cache_server``, one store
+  lookup per coalesced group, then the engine, then a store of the
+  success).  It binds nothing until :meth:`~NdjsonServer.start`, so
+  in-process callers drive :meth:`~NdjsonServer.handle` directly.
 
   Two executors host the actual engine call.  The default ``thread``
   executor computes inline on the pool thread — cheap, but CPU-bound
@@ -24,15 +36,15 @@ Three layers:
   ``process`` executor runs :func:`engine_worker` on the worker-process
   farm (:mod:`repro.serve.pool`, the one ``repro sweep`` uses too):
   CPU-bound work escapes the GIL, a segfaulted/killed worker yields a
-  typed ``engine_error`` response (:class:`WorkerCrash`, never a
-  dropped connection) and is respawned, and cancellation is real — an
-  abandoned computation's worker is terminated mid-flight.
-* :class:`NdjsonServer` — a reusable NDJSON/TCP front: one reader
-  thread per connection, one request processed per connection at a
-  time, responses written in request order, graceful drain.  The shard
-  router (:mod:`repro.fleet.router`) and the cache server subclass it.
-* :class:`ReproServer` — the NDJSON front bound to an
-  :class:`AnalysisService` (the ``repro serve`` process).
+  typed ``engine_error`` response (never a dropped connection) and is
+  respawned, and cancellation is real — an abandoned computation's
+  worker is terminated mid-flight.
+* :func:`engine_outcome` — the one place an engine failure becomes an
+  error code: a facade error keeps its code, bad params are
+  ``bad_request``, anything else is ``internal``.  Both executors and
+  the router's sequential fallback answer through it; only a worker
+  that died or was cancelled under a request answers ``engine_error``
+  without it.
 
 Correctness contract: a response body is exactly the facade result's
 ``to_dict()``, so a served answer is byte-identical (modulo ``wall``)
@@ -47,13 +59,13 @@ Because all thread-executor requests share one process, the
 warm across requests; process-executor workers are forked from the
 serving process and inherit whatever was warm at spawn time.
 
-Observability: every server (this service, the router, the cache
-server) keeps its counters in one :class:`Telemetry`.  With a recorder
-attached the service emits ``serve.request`` spans on the
-``PID_SERVE`` track (one lane per pool thread) and ``serve.request.*``
-counters; the same counters back the ``stats`` op, which also surfaces
-queue-wait aggregates (how long accepted requests sat in admission
-before a worker picked them up).  Chaos mode (:mod:`repro.serve.chaos`)
+Observability: every server keeps its counters in one
+:class:`Telemetry`, which the shell owns.  With a recorder attached
+the service emits ``serve.request`` spans on the ``PID_SERVE`` track
+(one lane per pool thread) and ``serve.request.*`` counters; the same
+counters back the ``stats`` op, which also surfaces queue-wait
+aggregates (how long accepted requests sat in admission before a
+worker picked them up).  Chaos mode (:mod:`repro.serve.chaos`)
 injects seeded rejections and delays in front of real work to exercise
 the backpressure and deadline paths.
 """
@@ -75,6 +87,7 @@ from repro.serve.protocol import (
     CONTROL_OPS,
     ERR_BAD_REQUEST,
     ERR_DEADLINE,
+    ERR_ENGINE,
     ERR_INTERNAL,
     ERR_OVERLOADED,
     ERR_SHUTTING_DOWN,
@@ -137,11 +150,12 @@ class SingleFlight:
     A request joins the flight open for its key or opens one and leads
     it.  Every joined request waits for the outcome bounded by its own
     deadline, and the last waiter to give up on an unfinished flight
-    sets ``flight.cancel``.  The outcome is opaque here: each waiter
-    builds its own response (own request id, own wall time) from
-    whatever the leader publishes.  The service and the shard router
-    both coalesce through this class; whether opening a flight takes
-    an admission slot is the ``admit`` callback of :meth:`join`.
+    sets ``flight.cancel``.  The leader publishes an engine outcome,
+    ``("ok", result)`` or ``("error", code, message)``, and each waiter
+    builds its own response (own request id, own wall time) from it.
+    The service and the shard router both coalesce through this class;
+    whether opening a flight takes an admission slot is the ``admit``
+    callback of :meth:`join`.
     """
 
     def __init__(self) -> None:
@@ -232,13 +246,6 @@ class Telemetry:
                                 pid=self._pid, tid=tid, args=args or {})
 
 
-class WorkerCrash(api.EngineError):
-    """A process-executor worker died under a request, or was
-    terminated because nobody waits for its answer.  A typed facade
-    error (``code == "engine_error"``), so hosting layers render it as
-    a structured response: crash isolation, not crash propagation."""
-
-
 def engine_call(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Dispatch one engine op onto the facade; raises on bad params.
 
@@ -278,49 +285,268 @@ def engine_call(op: str, params: Dict[str, Any]) -> Dict[str, Any]:
     raise api.BadRequest(f"unknown engine op {op!r}")
 
 
+def engine_outcome(op: str, params: Dict[str, Any]) -> Tuple:
+    """Run one engine op through :func:`engine_call`; never raises.
+
+    Returns ``("ok", result)`` or ``("error", code, message)``: a
+    facade error keeps its code, bad params are ``bad_request``, and
+    anything else is ``internal`` — a request must never take its host
+    down.  The one mapping from an engine failure to an error code."""
+    try:
+        return ("ok", engine_call(op, params))
+    except api.ApiError as err:
+        code = err.code if err.code in ERROR_CODES else ERR_INTERNAL
+        return ("error", code, str(err))
+    except (TypeError, ValueError) as err:
+        return ("error", ERR_BAD_REQUEST, f"bad params: {err}")
+    except Exception as err:  # noqa: BLE001 - see the docstring
+        return ("error", ERR_INTERNAL, f"{type(err).__name__}: {err}")
+
+
 @contextlib.contextmanager
 def engine_worker() -> Iterator[Callable[[Any], Tuple]]:
-    """The process executor's worker setup: its handler runs one
-    ``(op, params)`` task through :func:`engine_call` and turns every
-    failure into an ``("error", code, message)`` message, so a request
+    """The process executor's worker setup: its handler answers one
+    ``(op, params)`` task with :func:`engine_outcome`, so a request
     never takes the worker down."""
+    yield lambda task: engine_outcome(*task)
 
-    def handle(task: Tuple[str, Dict[str, Any]]) -> Tuple:
-        op, params = task
+
+def outcome_response(request: Request, outcome: Tuple,
+                     start: float) -> Dict[str, Any]:
+    """The response to ``request`` that carries an engine outcome."""
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    if outcome[0] == "ok":
+        return ok_response(request.id, request.op, outcome[1], wall_ms)
+    return error_response(request.id, outcome[1], outcome[2], wall_ms)
+
+
+class NdjsonServer:
+    """The one server shell: NDJSON/TCP front, control plane, drain.
+
+    ``config`` is the server's config (its ``host``, ``port``,
+    ``drain_timeout`` and ``recorder`` are read here).  ``name`` names
+    the server's request spans (on track ``pid``) and prefixes the
+    counters of the lines the shell refuses: ``<name>.bad_request``
+    and ``<name>.shutting_down``.  Control ops count as
+    ``<family>.control``, where the family is ``name`` up to its first
+    dot.  ``chaos`` is the armed fault plan that ``stats`` reports.
+
+    Subclasses implement :meth:`handle_op`, and may add fields to the
+    control bodies (:meth:`control_fields`) and release resources at
+    the end of a drain (:meth:`close`)."""
+
+    _ACCEPT_POLL = 0.2
+
+    def __init__(self, config: Any, name: str, pid: int = 0,
+                 chaos: Optional[HostFaultPlan] = None):
+        self.config = config
+        self.telemetry = Telemetry(config.recorder, name, pid)
+        self._count = self.telemetry.count
+        self._name = name
+        self._control_counter = name.partition(".")[0] + ".control"
+        self._chaos = chaos
+        self._started = time.perf_counter()
+        self._sock = None
+        self._drain_requested = threading.Event()
+        self._drained = threading.Event()
+        # Live connection threads; each removes itself when its
+        # connection closes, so drain joins only the open ones.
+        self._conn_threads: set = set()
+        self._conn_lock = threading.Lock()
+
+    # -- subclass hooks ----------------------------------------------------
+
+    def handle_op(self, request: Request, start: float) -> Dict[str, Any]:
+        """Serve one op that is not a control op (``start`` is when
+        :meth:`handle` took it); must return a response document."""
+        raise NotImplementedError
+
+    def control_fields(self, op: str) -> Dict[str, Any]:
+        """This server's own fields of the ``op`` control body."""
+        return {}
+
+    def close(self) -> None:
+        """Release this server's resources; a drain calls it once the
+        connections have finished."""
+
+    # -- the control plane -------------------------------------------------
+
+    @property
+    def draining(self) -> bool:
+        """Drain was requested: no new work is accepted from then on."""
+        return self._drain_requested.is_set()
+
+    def counters(self) -> Dict[str, int]:
+        return self.telemetry.counters()
+
+    def handle(self, request: Request) -> Dict[str, Any]:
+        """Serve one request; always returns a response document."""
+        start = time.perf_counter()
+        if request.op in CONTROL_OPS:
+            self._count(self._control_counter)
+            if request.op == "drain":
+                self.request_drain()
+            return ok_response(request.id, request.op,
+                               self.control_body(request.op),
+                               (time.perf_counter() - start) * 1000.0)
+        if self.draining:
+            self._count(f"{self._name}.shutting_down")
+            return error_response(
+                request.id, ERR_SHUTTING_DOWN,
+                "server is draining; no new work accepted",
+                (time.perf_counter() - start) * 1000.0,
+            )
+        return self.handle_op(request, start)
+
+    def control_body(self, op: str) -> Dict[str, Any]:
+        """The body that answers control op ``op``: the common fields,
+        then this server's own."""
+        body: Dict[str, Any] = {
+            "kind": op,
+            "status": "draining" if self.draining else "ok",
+        }
+        if op == "stats":
+            body["counters"] = self.counters()
+            body["uptime_s"] = round(time.perf_counter() - self._started, 3)
+            if self._chaos is not None:
+                body["chaos"] = self._chaos.describe()
+        body.update(self.control_fields(op))
+        return body
+
+    # -- lifecycle ---------------------------------------------------------
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        """(host, port) actually bound; valid after :meth:`start`."""
+        assert self._sock is not None, "server not started"
+        return self._sock.getsockname()[:2]
+
+    def start(self) -> Tuple[str, int]:
+        import socket
+
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((self.config.host, self.config.port))
+        sock.listen(64)
+        sock.settimeout(self._ACCEPT_POLL)
+        self._sock = sock
+        return self.address
+
+    def request_drain(self) -> None:
+        """Refuse new work and ask the accept loop to stop and drain;
+        idempotent, safe from signal handlers and other threads."""
+        self._drain_requested.set()
+
+    def serve_forever(self) -> None:
+        """Accept connections until drain is requested, then drain:
+        stop accepting, finish and deliver in-flight work, and return."""
+        import socket as socket_mod
+
+        if self._sock is None:
+            self.start()
         try:
-            return ("ok", engine_call(op, params))
-        except api.ApiError as err:
-            return ("error", err.code, str(err))
-        except (TypeError, ValueError) as err:
-            return ("error", ERR_BAD_REQUEST, f"bad params: {err}")
-        except Exception as err:  # noqa: BLE001 - see the docstring
-            return ("error", ERR_INTERNAL, f"{type(err).__name__}: {err}")
+            while not self._drain_requested.is_set():
+                try:
+                    conn, _addr = self._sock.accept()
+                except socket_mod.timeout:
+                    continue
+                except OSError:
+                    break
+                thread = threading.Thread(
+                    target=self._handle_conn, args=(conn,), daemon=True
+                )
+                with self._conn_lock:
+                    self._conn_threads.add(thread)
+                thread.start()
+        finally:
+            self._drain()
 
-    yield handle
+    def _drain(self) -> None:
+        # The accept loop also ends on a socket error: refuse new work
+        # from here on either way.
+        self.request_drain()
+        deadline = time.monotonic() + self.config.drain_timeout
+        with self._conn_lock:
+            threads = list(self._conn_threads)
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
+        self.close()
+        if self._sock is not None:
+            self._sock.close()
+        self._drained.set()
+
+    def stop(self, timeout: Optional[float] = None) -> bool:
+        """Request drain and wait for :meth:`serve_forever` to finish
+        (for embedders running it on another thread)."""
+        self.request_drain()
+        return self._drained.wait(timeout)
+
+    # -- connections -------------------------------------------------------
+
+    def _handle_conn(self, conn) -> None:
+        import socket as socket_mod
+
+        conn.settimeout(self._ACCEPT_POLL)
+        buf = b""
+        try:
+            while True:
+                try:
+                    chunk = conn.recv(65536)
+                except socket_mod.timeout:
+                    if self._drain_requested.is_set():
+                        break
+                    continue
+                except OSError:
+                    break
+                if not chunk:
+                    break
+                buf += chunk
+                while b"\n" in buf:
+                    line, buf = buf.split(b"\n", 1)
+                    request, answer = self._parse_line(line)
+                    if request is not None:
+                        answer = encode(self.handle(request))
+                    if answer:
+                        try:
+                            conn.sendall(answer)
+                        except OSError:
+                            return
+        finally:
+            try:
+                conn.close()
+            except OSError:
+                pass
+            with self._conn_lock:
+                self._conn_threads.discard(threading.current_thread())
+
+    def _parse_line(self, line: bytes) -> Tuple[Optional[Request], bytes]:
+        """One request line as ``(request, b"")``; a blank line as
+        ``(None, b"")``; an unparseable one as ``(None, its encoded
+        bad_request answer)``."""
+        text = line.decode("utf-8", errors="replace").strip()
+        if not text:
+            return None, b""
+        try:
+            return parse_request(text), b""
+        except ProtocolError as err:
+            self._count(f"{self._name}.bad_request")
+            return None, encode(error_response(err.request_id,
+                                               ERR_BAD_REQUEST, str(err)))
 
 
-#: A process-executor worker's error code → the facade error raised for it.
-_API_ERRORS = {
-    "bad_request": api.BadRequest,
-    "transform_refused": api.TransformRefused,
-    "engine_error": api.EngineError,
-    "internal": api.EngineError,
-}
+class AnalysisService(NdjsonServer):
+    """``repro serve``: worker pool + admission + coalescing, behind
+    the shell."""
 
-
-class AnalysisService:
-    """The engine host: worker pool + admission + coalescing + drain."""
-
-    def __init__(self, config: ServeConfig):
+    def __init__(self, config: ServeConfig = ServeConfig()):
         if config.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {config.executor!r}; "
                 f"choose from: {', '.join(EXECUTORS)}"
             )
-        self.config = config
-        self.telemetry = Telemetry(config.recorder, "serve.request",
-                                   PID_SERVE)
-        self._count = self.telemetry.count
+        super().__init__(config, "serve.request", PID_SERVE,
+                         chaos=config.chaos)
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-serve"
         )
@@ -339,8 +565,6 @@ class AnalysisService:
         self._slots = threading.Semaphore(config.workers + config.backlog)
         self._flights = SingleFlight()
         self._queue_wait = {"count": 0, "total_ms": 0.0, "max_ms": 0.0}
-        self._draining = False
-        self._started = time.perf_counter()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -355,13 +579,6 @@ class AnalysisService:
     def in_flight(self) -> int:
         return len(self._flights)
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def counters(self) -> Dict[str, int]:
-        return self.telemetry.counters()
-
     def queue_wait_stats(self) -> Dict[str, float]:
         """Aggregate admission-queue wait: how long accepted engine
         requests sat before a worker started computing them."""
@@ -374,31 +591,28 @@ class AnalysisService:
             "max_ms": round(stats["max_ms"], 3),
         }
 
+    def control_fields(self, op: str) -> Dict[str, Any]:
+        fields: Dict[str, Any] = {"in_flight": self.in_flight}
+        if op == "stats":
+            from repro.perf import cache_stats
+
+            fields.update(
+                executor=self.config.executor,
+                workers=self.config.workers,
+                backlog=self.config.backlog,
+                default_deadline_ms=self.config.default_deadline_ms,
+                queue_wait=self.queue_wait_stats(),
+                perf_caches={
+                    name: {"hits": stats["hits"], "misses": stats["misses"]}
+                    for name, stats in sorted(cache_stats().items())
+                    if stats["hits"] + stats["misses"]
+                },
+            )
+        return fields
+
     # -- request handling --------------------------------------------------
 
-    def handle(self, request: Request) -> Dict[str, Any]:
-        """Serve one request; always returns a response document."""
-        start = time.perf_counter()
-        if request.op in CONTROL_OPS:
-            self._count("serve.control")
-            if request.op == "drain":
-                self.begin_drain()
-                body: Dict[str, Any] = {"kind": "drain",
-                                        "status": "draining",
-                                        "in_flight": self.in_flight}
-            elif request.op == "health":
-                body = self._health()
-            else:
-                body = self._stats()
-            return ok_response(request.id, request.op, body,
-                              (time.perf_counter() - start) * 1000.0)
-        if self._draining:
-            self._count("serve.request.shutting_down")
-            return error_response(
-                request.id, ERR_SHUTTING_DOWN,
-                "server is draining; no new work accepted",
-                (time.perf_counter() - start) * 1000.0,
-            )
+    def handle_op(self, request: Request, start: float) -> Dict[str, Any]:
         delay_ms = 0.0
         if self.config.chaos is not None:
             fault = self.config.chaos.on_request()
@@ -444,20 +658,16 @@ class AnalysisService:
         # and the process executor terminates a worker already
         # computing).
         outcome = self._flights.wait(flight, deadline_end)
-        wall_ms = (time.perf_counter() - start) * 1000.0
         if outcome is None:
             self._count("serve.request.deadline_exceeded")
             return error_response(
                 request.id, ERR_DEADLINE,
                 f"deadline of {deadline_s * 1000.0:.0f}ms exceeded",
-                wall_ms,
+                (time.perf_counter() - start) * 1000.0,
             )
-        if outcome[0]:
-            self._count("serve.request.ok")
-            return ok_response(request.id, request.op, outcome[1], wall_ms)
-        _, code, message = outcome
-        self._count(f"serve.request.error.{code}")
-        return error_response(request.id, code, message, wall_ms)
+        self._count("serve.request.ok" if outcome[0] == "ok"
+                    else f"serve.request.error.{outcome[1]}")
+        return outcome_response(request, outcome, start)
 
     # -- the pool side -----------------------------------------------------
 
@@ -468,7 +678,7 @@ class AnalysisService:
         self._observe_queue_wait(queued_ms)
         self.telemetry.span("B", tid, {"op": op, "key": flight.key[:12],
                                        "queued_ms": round(queued_ms, 3)})
-        status = "ok"
+        status = None
         try:
             if delay_ms:
                 # Chaos delay; interruptible so a cancelled flight does
@@ -477,9 +687,9 @@ class AnalysisService:
             if flight.cancel.is_set():
                 status = "cancelled"
                 self._count("serve.request.cancelled")
-                outcome: Tuple = (False, ERR_DEADLINE,
-                                  "cancelled before execution: every "
-                                  "waiter's deadline expired")
+                outcome = ("error", ERR_DEADLINE,
+                           "cancelled before execution: every "
+                           "waiter's deadline expired")
             elif time.perf_counter() >= flight.latest_deadline:
                 # Doomed while queued: every waiter's deadline already
                 # passed, so computing would burn a worker on a result
@@ -487,115 +697,71 @@ class AnalysisService:
                 status = "expired_in_queue"
                 self._count("serve.request.cancelled")
                 self._count("serve.request.expired_in_queue")
-                outcome = (False, ERR_DEADLINE,
+                outcome = ("error", ERR_DEADLINE,
                            "not executed: request deadline expired "
                            "while queued in admission")
             elif self._store is None:
-                outcome = (True, self._engine_call(op, params,
-                                                   flight.cancel))
+                outcome = self._engine_outcome(op, params, flight.cancel)
             else:
                 # One store round trip per coalesced group, inside the
                 # flight: a hit still holds this flight's slot.
-                def miss() -> Dict[str, Any]:
-                    self._count("serve.cache.misses")
-                    return self._engine_call(op, params, flight.cancel)
-
-                result, _, tier = self._store.get_or_compute(
-                    api.op_cache_key(op, params), miss)
-                if tier is not None:
+                store_key = api.op_cache_key(op, params)
+                stored = self._store.lookup(store_key)[1]
+                if stored is not None:
                     self._count("serve.cache.hits")
-                outcome = (True, result)
-        except api.ApiError as err:
-            status = err.code
-            code = err.code if err.code in ERROR_CODES else ERR_INTERNAL
-            outcome = (False, code, str(err))
-        except (TypeError, ValueError) as err:
-            status = ERR_BAD_REQUEST
-            outcome = (False, ERR_BAD_REQUEST, f"bad params: {err}")
-        except Exception as err:  # noqa: BLE001 - a request must never
-            status = ERR_INTERNAL  # take the pool down
-            outcome = (False, ERR_INTERNAL,
-                       f"{type(err).__name__}: {err}")
+                    outcome = ("ok", stored)
+                else:
+                    self._count("serve.cache.misses")
+                    outcome = self._engine_outcome(op, params,
+                                                   flight.cancel)
+                    if outcome[0] == "ok":
+                        self._store.put(store_key, outcome[1])
+        except Exception as err:  # noqa: BLE001 - nobody reads this
+            # future, so a failing farm or store must still answer every
+            # waiter.
+            outcome = ("error", ERR_INTERNAL, f"{type(err).__name__}: {err}")
         finally:
             self._flights.publish(flight, outcome)
             self._slots.release()
+            if status is None:
+                status = "ok" if outcome[0] == "ok" else outcome[1]
             self.telemetry.span("E", tid, {"op": op, "status": status})
 
-    def _engine_call(self, op: str, params: Dict[str, Any],
-                     cancel: threading.Event) -> Dict[str, Any]:
-        """Execute the engine op on the configured executor; raises
-        the facade's typed errors, plus :class:`WorkerCrash` when a
-        process-executor worker died or was cancelled under it."""
+    def _engine_outcome(self, op: str, params: Dict[str, Any],
+                        cancel: threading.Event) -> Tuple:
+        """Run the engine op on the configured executor, as
+        :func:`engine_outcome` answers it; a process-executor worker
+        that died or was cancelled under it answers ``engine_error``."""
         if self._farm is None:
-            return engine_call(op, params)
+            return engine_outcome(op, params)
         from repro.serve.pool import CANCELLED, CRASHED
 
         kind, value = self._farm.call((op, dict(params)), cancel=cancel)
         if kind == CRASHED:
             self._count("serve.pool.crashes")
-            raise WorkerCrash(
-                f"worker process (pid {value}) died while computing "
-                f"{op!r}; worker respawned, request failed with no "
-                "partial effects")
+            return ("error", ERR_ENGINE,
+                    f"worker process (pid {value}) died while computing "
+                    f"{op!r}; worker respawned, request failed with no "
+                    "partial effects")
         if kind == CANCELLED:
             # Nobody is waiting, but the answer stays typed.
             self._count("serve.pool.cancelled_kills")
-            raise WorkerCrash("cancelled mid-computation: every waiter's "
-                              "deadline expired; worker terminated")
-        if value[0] == "ok":
-            return value[1]
-        _, code, message = value
-        raise _API_ERRORS.get(code, api.EngineError)(message)
-
-    def _health(self) -> Dict[str, Any]:
-        return {
-            "kind": "health",
-            "status": "draining" if self._draining else "ok",
-            "in_flight": self.in_flight,
-        }
-
-    def _stats(self) -> Dict[str, Any]:
-        from repro.perf import cache_stats
-
-        perf = {
-            name: {"hits": stats["hits"], "misses": stats["misses"]}
-            for name, stats in sorted(cache_stats().items())
-            if stats["hits"] + stats["misses"]
-        }
-        body: Dict[str, Any] = {
-            "kind": "stats",
-            "status": "draining" if self._draining else "ok",
-            "executor": self.config.executor,
-            "workers": self.config.workers,
-            "backlog": self.config.backlog,
-            "default_deadline_ms": self.config.default_deadline_ms,
-            "in_flight": self.in_flight,
-            "counters": self.counters(),
-            "queue_wait": self.queue_wait_stats(),
-            "perf_caches": perf,
-            "uptime_s": round(time.perf_counter() - self._started, 3),
-        }
-        if self.config.chaos is not None:
-            body["chaos"] = self.config.chaos.describe()
-        return body
+            return ("error", ERR_ENGINE,
+                    "cancelled mid-computation: every waiter's deadline "
+                    "expired; worker terminated")
+        return value
 
     # -- lifecycle ---------------------------------------------------------
 
-    def begin_drain(self) -> None:
-        """Refuse new engine work; in-flight work keeps running."""
-        self._draining = True
-
-    def drain(self) -> None:
-        """Block until every in-flight computation has completed."""
-        self.begin_drain()
+    def close(self) -> None:
+        """Refuse new work, wait for every in-flight computation, then
+        stop the pool, the farm and the store."""
+        self.request_drain()
         self._executor.shutdown(wait=True)
         if self._farm is not None:
             self._farm.close()
         if self._store is not None:
             self._store.close()
-
-    def close(self) -> None:
-        self.drain()
 
 
 def _required_str(params: Dict[str, Any], name: str) -> str:
@@ -628,183 +794,3 @@ def _reject_unknown(params: Dict[str, Any], op: str) -> None:
         raise api.BadRequest(
             f"unknown param(s) for {op}: {', '.join(sorted(params))}"
         )
-
-
-class NdjsonServer:
-    """A reusable NDJSON/TCP front: accept loop, one reader thread per
-    connection, graceful drain.  Subclasses implement
-    :meth:`handle_request` (and may override the drain hooks)."""
-
-    _ACCEPT_POLL = 0.2
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 drain_timeout: float = 30.0):
-        self._host = host
-        self._port = port
-        self._drain_timeout = drain_timeout
-        self._sock = None
-        self._drain_requested = threading.Event()
-        self._drained = threading.Event()
-        # Live connection threads; each removes itself when its
-        # connection closes, so drain joins only the open ones.
-        self._conn_threads: set = set()
-        self._conn_lock = threading.Lock()
-
-    # -- subclass hooks ----------------------------------------------------
-
-    def handle_request(self, request: Request) -> Dict[str, Any]:
-        """Serve one parsed request; must return a response document."""
-        raise NotImplementedError
-
-    def on_bad_request(self) -> None:
-        """Counter hook for unparseable lines."""
-
-    def on_drain_begin(self) -> None:
-        """Runs when drain starts, before connections are joined —
-        refuse new work here so a chatty client cannot stall drain."""
-
-    def on_drain(self) -> None:
-        """Release subclass resources; runs after connections drain."""
-
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) actually bound; valid after :meth:`start`."""
-        assert self._sock is not None, "server not started"
-        return self._sock.getsockname()[:2]
-
-    def start(self) -> Tuple[str, int]:
-        import socket
-
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(64)
-        sock.settimeout(self._ACCEPT_POLL)
-        self._sock = sock
-        return self.address
-
-    def request_drain(self) -> None:
-        """Ask the accept loop to stop and drain; idempotent, safe from
-        signal handlers and other threads."""
-        self._drain_requested.set()
-
-    def serve_forever(self) -> None:
-        """Accept connections until drain is requested, then drain:
-        stop accepting, finish and deliver in-flight work, and return."""
-        import socket as socket_mod
-
-        if self._sock is None:
-            self.start()
-        try:
-            while not self._drain_requested.is_set():
-                try:
-                    conn, _addr = self._sock.accept()
-                except socket_mod.timeout:
-                    continue
-                except OSError:
-                    break
-                thread = threading.Thread(
-                    target=self._handle_conn, args=(conn,), daemon=True
-                )
-                with self._conn_lock:
-                    self._conn_threads.add(thread)
-                thread.start()
-        finally:
-            self._drain()
-
-    def _drain(self) -> None:
-        self.on_drain_begin()
-        deadline = time.monotonic() + self._drain_timeout
-        with self._conn_lock:
-            threads = list(self._conn_threads)
-        for thread in threads:
-            if thread is not threading.current_thread():
-                thread.join(max(0.0, deadline - time.monotonic()))
-        self.on_drain()
-        if self._sock is not None:
-            self._sock.close()
-        self._drained.set()
-
-    def stop(self, timeout: Optional[float] = None) -> bool:
-        """Request drain and wait for :meth:`serve_forever` to finish
-        (for embedders running it on another thread)."""
-        self.request_drain()
-        return self._drained.wait(timeout)
-
-    # -- connections -------------------------------------------------------
-
-    def _handle_conn(self, conn) -> None:
-        import socket as socket_mod
-
-        conn.settimeout(self._ACCEPT_POLL)
-        buf = b""
-        try:
-            while True:
-                try:
-                    chunk = conn.recv(65536)
-                except socket_mod.timeout:
-                    if self._drain_requested.is_set():
-                        break
-                    continue
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                buf += chunk
-                while b"\n" in buf:
-                    line, buf = buf.split(b"\n", 1)
-                    response = self._process_line(line)
-                    if response:
-                        try:
-                            conn.sendall(response)
-                        except OSError:
-                            return
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._conn_lock:
-                self._conn_threads.discard(threading.current_thread())
-
-    def _process_line(self, line: bytes) -> bytes:
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
-            return b""
-        try:
-            request = parse_request(text)
-        except ProtocolError as err:
-            self.on_bad_request()
-            return encode(error_response(err.request_id, ERR_BAD_REQUEST,
-                                         str(err)))
-        return encode(self.handle_request(request))
-
-
-class ReproServer(NdjsonServer):
-    """The NDJSON/TCP front over an :class:`AnalysisService`."""
-
-    def __init__(self, config: ServeConfig = ServeConfig()):
-        super().__init__(host=config.host, port=config.port,
-                         drain_timeout=config.drain_timeout)
-        self.config = config
-        self.service = AnalysisService(config)
-
-    def handle_request(self, request: Request) -> Dict[str, Any]:
-        if request.op == "drain":
-            # A remote drain stops the accept loop too (the service
-            # refuses new engine work the moment handle() sees the op).
-            response = self.service.handle(request)
-            self.request_drain()
-            return response
-        return self.service.handle(request)
-
-    def on_bad_request(self) -> None:
-        self.service._count("serve.request.bad_request")
-
-    def on_drain_begin(self) -> None:
-        self.service.begin_drain()
-
-    def on_drain(self) -> None:
-        self.service.drain()

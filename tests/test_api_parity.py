@@ -14,7 +14,7 @@ from repro import api
 from repro.cli import main
 from repro.fleet.client import BackendClient
 from repro.fleet.router import RouterConfig, ShardRouter
-from repro.serve import ReproServer, ServeConfig
+from repro.serve import AnalysisService, ServeConfig
 
 FIG5 = """
 (declaim (sapp f5 l))
@@ -155,17 +155,17 @@ class _Topology:
 
 
 def _thread_pool_topology():
-    return _Topology([ReproServer(ServeConfig(workers=2))])
+    return _Topology([AnalysisService(ServeConfig(workers=2))])
 
 
 def _process_pool_topology():
-    return _Topology([ReproServer(ServeConfig(workers=1,
-                                              executor="process"))])
+    return _Topology([AnalysisService(ServeConfig(workers=1,
+                                                  executor="process"))])
 
 
 def _router_topology():
     return _Topology(
-        [ReproServer(ServeConfig(workers=2)) for _ in range(3)],
+        [AnalysisService(ServeConfig(workers=2)) for _ in range(3)],
         router_factory=lambda specs: ShardRouter(RouterConfig(
             backends=specs, connect_timeout_s=2.0,
             probe_interval_s=10.0, cache_size=0)))

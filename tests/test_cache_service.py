@@ -42,6 +42,7 @@ from repro.scale.cacheclient import (
 from repro.scale.driver import run_jobs
 from repro.scale.jobs import SweepJob
 from repro.serve.cacheserver import CacheServeConfig, CacheServer
+from repro.serve.protocol import decode_response, request_line
 
 PAYLOAD = {"result": 42, "nested": {"b": 2, "a": 1}}
 
@@ -241,6 +242,29 @@ class TestWire:
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
         assert "cache server" in response["error"]["message"]
+
+    def test_gets_are_refused_once_drain_is_requested(self, tmp_path):
+        # The store's client reads a typed refusal as a miss, so a
+        # draining server must refuse reads too, even on a connection
+        # that stays open and busy.
+        srv = _serve(CacheServer(CacheServeConfig(
+            root=str(tmp_path / "root"), drain_timeout=3.0)))
+        get = request_line("cache-get", {"key": "0" * 64})
+        try:
+            with socket.create_connection(srv.address, timeout=5) as conn:
+                stream = conn.makefile("rwb")
+                stream.write(get)
+                stream.flush()
+                assert decode_response(stream.readline())["ok"] is True
+                srv.request_drain()
+                stream.write(get)
+                stream.flush()
+                refused = decode_response(stream.readline())
+        finally:
+            srv.stop(timeout=10)
+        assert refused["ok"] is False
+        assert refused["error"]["code"] == "shutting_down"
+        assert srv.counters()["cache.server.shutting_down"] == 1
 
     def test_stats_carry_fingerprints(self, server):
         stats = _ServerLink(_spec(server)).call("stats", {})["result"]

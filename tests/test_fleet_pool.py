@@ -12,9 +12,10 @@ import time
 import pytest
 
 from repro import api
-from repro.serve import AnalysisService, ServeConfig
+from repro.serve import EXECUTORS, AnalysisService, Request, ServeConfig
+from repro.serve import server as server_mod
 from repro.serve.pool import Farm
-from repro.serve.server import WorkerCrash, engine_call, engine_worker
+from repro.serve.server import engine_call, engine_worker
 from tests.blockers import SPIN_SRC, spins_for
 
 FIG5 = """
@@ -30,15 +31,17 @@ FIG5 = """
 
 
 class _Executor:
-    """One process-executor service, driven at its engine-call seam."""
+    """One process-executor service, driven at its engine-outcome
+    seam: ``call`` returns ``("ok", result)`` or ``("error", code,
+    message)``."""
 
     def __init__(self, workers: int):
         self.service = AnalysisService(ServeConfig(workers=workers,
                                                    executor="process"))
 
     def call(self, op, params, cancel=None):
-        return self.service._engine_call(op, params,
-                                         cancel or threading.Event())
+        return self.service._engine_outcome(op, params,
+                                            cancel or threading.Event())
 
     def worker_pids(self):
         return self.service._farm.worker_pids()
@@ -70,34 +73,66 @@ class TestParity:
         they literally run the same ``engine_call``."""
         params = {"source": FIG5, "function": "f5"}
         inline = engine_call("analyze", dict(params))
-        pooled = engine.call("analyze", dict(params))
+        kind, pooled = engine.call("analyze", dict(params))
+        assert kind == "ok"
         assert api.canonical_json(api.strip_wall(pooled)) == \
             api.canonical_json(api.strip_wall(inline))
 
     def test_run_op(self, engine):
-        result = engine.call("run", {
+        kind, result = engine.call("run", {
             "source": FIG5,
             "expr": "(progn (f5-cc data) (identity data))",
             "transform": ["f5"],
         })
+        assert kind == "ok"
         assert result["value"] == "(1 3 6 10)"
 
 
 class TestTypedErrors:
     def test_bad_request_crosses_the_process_boundary(self, engine):
-        with pytest.raises(api.BadRequest):
-            engine.call("analyze", {"source": FIG5})  # missing function
+        outcome = engine.call("analyze", {"source": FIG5})  # no function
+        assert outcome[:2] == ("error", "bad_request")
 
     def test_unknown_op_is_bad_request(self, engine):
-        with pytest.raises(api.BadRequest):
-            engine.call("mystery", {})
+        assert engine.call("mystery", {})[:2] == ("error", "bad_request")
 
     def test_worker_survives_a_failed_request(self, engine):
-        with pytest.raises(api.ApiError):
-            engine.call("analyze", {"source": "(((", "function": "f"})
+        outcome = engine.call("analyze", {"source": "(((", "function": "f"})
+        assert outcome[0] == "error"
         # Same worker, next request fine — errors never kill workers.
-        result = engine.call("analyze", {"source": FIG5, "function": "f5"})
+        kind, result = engine.call("analyze",
+                                   {"source": FIG5, "function": "f5"})
+        assert kind == "ok"
         assert result["function"] == "f5"
+
+
+class TestOutcomeParity:
+    def test_an_engine_bug_answers_alike_on_both_executors(
+            self, monkeypatch):
+        """Facade errors pass through 1:1 whatever the executor, and an
+        unexpected exception is ``internal`` on both: only a dead or
+        cancelled worker is ``engine_error``."""
+
+        def broken(op, params):
+            raise RuntimeError("unexpected engine failure")
+
+        # Patched before the farm forks, so its workers run it too.
+        monkeypatch.setattr(server_mod, "engine_call", broken)
+        errors = {}
+        for executor in EXECUTORS:
+            service = AnalysisService(ServeConfig(workers=1,
+                                                  executor=executor))
+            try:
+                response = service.handle(Request(
+                    id=executor, op="analyze",
+                    params={"source": FIG5, "function": "f5"}))
+            finally:
+                service.close()
+            errors[executor] = response["error"]
+        assert errors == {
+            executor: {"code": "internal",
+                       "message": "RuntimeError: unexpected engine failure"}
+            for executor in EXECUTORS}
 
 
 class TestCrashIsolation:
@@ -106,10 +141,7 @@ class TestCrashIsolation:
         outcome = {}
 
         def call():
-            try:
-                outcome["result"] = engine.call("run", slow_params())
-            except api.ApiError as err:
-                outcome["error"] = err
+            outcome["answer"] = engine.call("run", slow_params())
 
         thread = threading.Thread(target=call)
         thread.start()
@@ -123,11 +155,9 @@ class TestCrashIsolation:
         os.kill(victim, signal.SIGKILL)
         thread.join(timeout=30.0)
         assert not thread.is_alive()
-        assert "error" in outcome, f"call returned {outcome.get('result')}"
-        err = outcome["error"]
-        assert isinstance(err, WorkerCrash)
-        assert err.code == "engine_error"
-        assert "died" in str(err)
+        answer = outcome["answer"]
+        assert answer[:2] == ("error", "engine_error"), answer
+        assert "died" in answer[2]
         assert engine.counters().get("serve.pool.crashes") == 1
         assert engine.counters().get("serve.pool.respawns", 0) >= 1
 
@@ -139,7 +169,9 @@ class TestCrashIsolation:
             time.sleep(0.02)  # wait until the death is observable
         # Idle kill: nothing was lost, the next call respawns silently
         # and succeeds.
-        result = engine.call("analyze", {"source": FIG5, "function": "f5"})
+        kind, result = engine.call("analyze",
+                                   {"source": FIG5, "function": "f5"})
+        assert kind == "ok"
         assert result["function"] == "f5"
         new_pids = engine.worker_pids()
         assert new_pids and new_pids != pids
@@ -151,11 +183,8 @@ class TestCancellation:
         outcome = {}
 
         def call():
-            try:
-                outcome["result"] = engine.call("run", slow_params(1000.0),
-                                                cancel=cancel)
-            except api.ApiError as err:
-                outcome["error"] = err
+            outcome["answer"] = engine.call("run", slow_params(1000.0),
+                                            cancel=cancel)
 
         thread = threading.Thread(target=call)
         thread.start()
@@ -164,8 +193,9 @@ class TestCancellation:
         cancel.set()
         thread.join(timeout=30.0)
         assert not thread.is_alive()
-        assert "error" in outcome
-        assert "cancelled" in str(outcome["error"])
+        answer = outcome["answer"]
+        assert answer[:2] == ("error", "engine_error"), answer
+        assert "cancelled" in answer[2]
         assert engine.counters().get("serve.pool.cancelled_kills") == 1
         # The computing worker was terminated and replaced.
         deadline = time.monotonic() + 5.0

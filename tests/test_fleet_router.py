@@ -15,7 +15,7 @@ import pytest
 from repro import api
 from repro.fleet.client import BackendClient, BackendError
 from repro.fleet.router import RouterConfig, ShardRouter, parse_backend
-from repro.serve import FleetFaultPlan, ReproServer, Request, ServeConfig
+from repro.serve import AnalysisService, FleetFaultPlan, Request, ServeConfig
 from repro.serve.server import engine_call
 from tests.blockers import SPIN_SRC, spins_for
 
@@ -50,7 +50,7 @@ class Fleet:
         self.threads = []
         specs = []
         for _ in range(backends):
-            server = ReproServer(ServeConfig(workers=2))
+            server = AnalysisService(ServeConfig(workers=2))
             host, port = server.start()
             thread = threading.Thread(target=server.serve_forever,
                                       daemon=True)
@@ -264,7 +264,7 @@ class TestFailover:
             fleet.call("analyze", analyze_params(variant))
         counters = fleet.router.counters()
         assert counters.get("fleet.breaker.open", 0) >= 1
-        snapshot = fleet.router._stats()["backends"]
+        snapshot = fleet.router.control_body("stats")["backends"]
         states = {name: b["breaker"]["state"]
                   for name, b in snapshot.items()}
         assert "open" in states.values() or "half_open" in states.values()
@@ -322,6 +322,19 @@ class TestFallback:
 
 
 class TestDrain:
+    def test_in_process_handle_refuses_work_once_draining(self):
+        # No backends: the request is answered by the fallback.
+        router = ShardRouter(RouterConfig(backends=(), cache_size=0))
+        params = analyze_params()
+        routed = router.handle(Request(id="r", op="analyze", params=params))
+        assert api.canonical_json(api.strip_wall(routed["result"])) == \
+            api.canonical_json(api.strip_wall(engine_call("analyze",
+                                                          params)))
+        router.request_drain()
+        refused = router.handle(Request(id="d", op="analyze", params=params))
+        assert refused["error"]["code"] == "shutting_down"
+        assert router.counters()["fleet.request.shutting_down"] == 1
+
     def test_drain_op_bleeds_one_backend_from_the_ring(self, fleet):
         victim = fleet.router.ring_members()[0]
         response = fleet.call("drain", {"backend": victim})
@@ -442,8 +455,8 @@ class TestSingleFlight:
             bodies = {api.canonical_json(api.strip_wall(r["result"]))
                       for r in replies}
             assert len(bodies) == 1
-            backend_calls = sum(b["ok"] for b in
-                                f.router._stats()["backends"].values())
+            stats = f.router.control_body("stats")
+            backend_calls = sum(b["ok"] for b in stats["backends"].values())
             assert backend_calls == 1
             counters = f.router.counters()
             assert counters.get("fleet.request.coalesced", 0) \
@@ -461,13 +474,13 @@ class TestAutoRejoin:
         router = ShardRouter(RouterConfig(backends=(spec,)))
         router.bleed_backend(spec, stop_backend=False)
         assert router.ring_members() == []
-        assert router._health()["drained"] == [spec]
+        assert router.control_body("health")["drained"] == [spec]
         router._on_health_change(spec, healthy=True)
         assert router.ring_members() == []  # still healthy, still out
         router._on_health_change(spec, healthy=False)
         router._on_health_change(spec, healthy=True)
         assert router.ring_members() == [spec]  # died, came back: rejoin
-        assert router._health()["drained"] == []
+        assert router.control_body("health")["drained"] == []
         assert router.counters()["fleet.backend.rejoined"] == 1
 
     def test_no_auto_rejoin_forgets_the_backend(self):
@@ -475,7 +488,7 @@ class TestAutoRejoin:
         router = ShardRouter(RouterConfig(backends=(spec,),
                                           auto_rejoin=False))
         router.bleed_backend(spec, stop_backend=False)
-        assert router._health()["drained"] == []
+        assert router.control_body("health")["drained"] == []
         router._on_health_change(spec, healthy=False)
         router._on_health_change(spec, healthy=True)
         assert router.ring_members() == []  # stays bled
@@ -492,7 +505,7 @@ class TestAutoRejoin:
             response = f.call("drain", {"backend": victim})
             assert response["ok"] is True
             assert victim not in f.router.ring_members()
-            assert f.router._health()["drained"] == [victim]
+            assert f.router.control_body("health")["drained"] == [victim]
             # Wait for the prober to notice the death...
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
@@ -502,7 +515,7 @@ class TestAutoRejoin:
             assert f.router._drained_members[victim].went_down
             # ...then resurrect the address with a fresh process.
             port = int(victim.rsplit(":", 1)[1])
-            replacement = ReproServer(ServeConfig(port=port, workers=2))
+            replacement = AnalysisService(ServeConfig(port=port, workers=2))
             replacement.start()
             replacement_thread = threading.Thread(
                 target=replacement.serve_forever, daemon=True)
@@ -514,7 +527,7 @@ class TestAutoRejoin:
                 time.sleep(0.02)
             assert victim in f.router.ring_members()
             assert f.router.counters()["fleet.backend.rejoined"] == 1
-            assert f.router._health()["drained"] == []
+            assert f.router.control_body("health")["drained"] == []
             # The rejoined backend carries traffic again.
             for variant in range(4):
                 assert f.call("analyze",
@@ -553,12 +566,11 @@ class TestSharedCache:
             counters = second.router.counters()
             assert counters.get("fleet.shared_cache.hits") == 1
             # Served from the shared tier: no backend was consulted.
-            backend_calls = sum(s["ok"] for s in
-                                second.router._stats()["backends"].values())
+            stats = second.router.control_body("stats")
+            backend_calls = sum(s["ok"] for s in stats["backends"].values())
             assert backend_calls == 0
             assert api.canonical_json(api.strip_wall(b["result"])) == \
                 api.canonical_json(api.strip_wall(a["result"]))
-            stats = second.router._stats()
             assert stats["shared_cache"]["server"] == spec
         finally:
             second.close()

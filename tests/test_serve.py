@@ -12,9 +12,12 @@ import time
 import pytest
 
 from repro import api
+from repro.fleet.client import BackendClient
+from repro.fleet.router import RouterConfig, ShardRouter
 from repro.serve import (
     AnalysisService,
-    ReproServer,
+    CacheServeConfig,
+    CacheServer,
     Request,
     RequestFaultPlan,
     ServeConfig,
@@ -275,8 +278,8 @@ class TestExpiredInQueue:
             assert service._slots.acquire(blocking=False)
             service._compute(flight, "run", _run_params(), 0.0)
             assert flight.outcome is not None
-            ok, code, message = flight.outcome
-            assert ok is False
+            kind, code, message = flight.outcome
+            assert kind == "error"
             assert code == "deadline_exceeded"
             assert "while queued" in message
             counters = service.counters()
@@ -385,7 +388,7 @@ class TestServer:
 
     @pytest.fixture
     def server(self):
-        srv = ReproServer(ServeConfig(workers=2, backlog=4))
+        srv = AnalysisService(ServeConfig(workers=2, backlog=4))
         srv.start()
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
@@ -433,14 +436,14 @@ class TestServer:
                                  ensure_ascii=False) + "\n"
 
     def test_graceful_drain_completes_inflight(self):
-        server = ReproServer(ServeConfig(workers=2, backlog=4))
+        server = AnalysisService(ServeConfig(workers=2, backlog=4))
         server.start()
         runner = threading.Thread(target=server.serve_forever, daemon=True)
         runner.start()
         sock, stream = self._connect(server)
         stream.write(request_line("run", _slow_params(), request_id="in"))
         stream.flush()
-        while server.service.in_flight == 0:
+        while server.in_flight == 0:
             time.sleep(0.005)
         server.request_drain()
         # The in-flight response must still arrive, completed.
@@ -449,12 +452,12 @@ class TestServer:
         assert response["id"] == "in"
         sock.close()
         assert server.stop(timeout=10) is True
-        assert server.service.in_flight == 0
-        assert server.service.draining is True
+        assert server.in_flight == 0
+        assert server.draining is True
 
     def test_draining_service_refuses_new_engine_work(self):
         service = AnalysisService(ServeConfig(workers=2))
-        service.begin_drain()
+        service.request_drain()
         refused = service.handle(_request("run", _run_params()))
         assert refused["error"]["code"] == "shutting_down"
         # Control ops still answer (and report the drain).
@@ -463,7 +466,7 @@ class TestServer:
         service.close()
 
     def test_drain_control_op_over_the_wire(self):
-        server = ReproServer(ServeConfig(workers=2, backlog=4))
+        server = AnalysisService(ServeConfig(workers=2, backlog=4))
         server.start()
         runner = threading.Thread(target=server.serve_forever, daemon=True)
         runner.start()
@@ -477,10 +480,10 @@ class TestServer:
         # The op both answers and actually drains the server.
         assert server.stop(timeout=10) is True
         runner.join(timeout=10)
-        assert server.service.draining is True
+        assert server.draining is True
 
     def test_no_worker_thread_leak_after_drain(self):
-        server = ReproServer(ServeConfig(workers=4, backlog=4))
+        server = AnalysisService(ServeConfig(workers=4, backlog=4))
         server.start()
         runner = threading.Thread(target=server.serve_forever, daemon=True)
         runner.start()
@@ -502,6 +505,58 @@ class TestServer:
         assert not leaked, f"leaked worker threads: {leaked}"
 
 
+#: Every control body's keys, per server and op (default configs: no
+#: chaos plan armed, no shared cache server).
+CONTROL_KEYS = {
+    ("serve", "health"): {"kind", "status", "in_flight"},
+    ("serve", "stats"): {"kind", "status", "counters", "uptime_s",
+                         "executor", "workers", "backlog",
+                         "default_deadline_ms", "in_flight", "queue_wait",
+                         "perf_caches"},
+    ("serve", "drain"): {"kind", "status", "in_flight"},
+    ("cache-serve", "health"): {"kind", "status", "role"},
+    ("cache-serve", "stats"): {"kind", "status", "counters", "uptime_s",
+                               "role", "root", "store", "fingerprints"},
+    ("cache-serve", "drain"): {"kind", "status"},
+    ("route", "health"): {"kind", "status", "role", "ring", "backends",
+                          "drained"},
+    ("route", "stats"): {"kind", "status", "counters", "uptime_s", "role",
+                         "ring", "vnodes", "attempts", "fallback", "cache",
+                         "backends", "drained"},
+    ("route", "drain"): {"kind", "status", "ring"},
+}
+
+SERVERS = {
+    "serve": lambda root: AnalysisService(ServeConfig(workers=1)),
+    "cache-serve": lambda root: CacheServer(CacheServeConfig(root=root)),
+    "route": lambda root: ShardRouter(RouterConfig(cache_size=0)),
+}
+
+
+class TestControlPlane:
+    """The control ops answer the same shape on every server: ``kind``
+    and ``status`` always, and each server's own fields."""
+
+    @pytest.mark.parametrize("op", ["health", "stats", "drain"])
+    @pytest.mark.parametrize("role", sorted(SERVERS))
+    def test_control_body(self, role, op, tmp_path):
+        server = SERVERS[role](str(tmp_path / "root"))
+        address = server.start()
+        runner = threading.Thread(target=server.serve_forever, daemon=True)
+        runner.start()
+        try:
+            client = BackendClient(role, *address, connect_timeout_s=5.0)
+            response = client.call(op, timeout_s=30.0)
+        finally:
+            assert server.stop(timeout=10) is True
+            runner.join(timeout=10)
+        assert response["ok"] is True, response
+        body = response["result"]
+        assert set(body) == CONTROL_KEYS[role, op]
+        assert body["kind"] == op
+        assert body["status"] == ("draining" if op == "drain" else "ok")
+
+
 class TestProcessExecutor:
     """The process-pool backend mode end-to-end: same wire protocol,
     crash isolation under SIGKILL."""
@@ -514,7 +569,7 @@ class TestProcessExecutor:
         import os
         import signal
 
-        server = ReproServer(ServeConfig(workers=1, backlog=4,
+        server = AnalysisService(ServeConfig(workers=1, backlog=4,
                                          executor="process"))
         server.start()
         runner = threading.Thread(target=server.serve_forever, daemon=True)
@@ -530,12 +585,12 @@ class TestProcessExecutor:
             assert first["result"]["value"] == "(1 3 6 10)"
             # kill -9 the (idle) engine worker: the next request must
             # still be served, by a silently respawned worker.
-            pids = server.service._farm.worker_pids()
+            pids = server._farm.worker_pids()
             assert pids
             os.kill(pids[0], signal.SIGKILL)
             deadline = time.time() + 5.0
             while time.time() < deadline and \
-                    server.service._farm.worker_pids():
+                    server._farm.worker_pids():
                 time.sleep(0.02)
             stream.write(request_line(
                 "analyze", {"source": FIG5, "function": "f5"},
@@ -545,7 +600,7 @@ class TestProcessExecutor:
             assert second["ok"] is True, second
             assert second["result"]["transformable"] is True
             sock.close()
-            counters = server.service.counters()
+            counters = server.counters()
             assert counters.get("serve.pool.respawns", 0) >= 1
         finally:
             assert server.stop(timeout=15) is True
