@@ -112,9 +112,6 @@ class DynamicReport:
             return None
         return min(self.distance_histogram)
 
-    def observed_distances(self) -> set[int]:
-        return set(self.distance_histogram)
-
 
 def measure_dynamic_conflicts(
     interp: Interpreter,

@@ -86,12 +86,6 @@ class HealthProber:
         with self._lock:
             self._states.pop(name, None)
 
-    def is_healthy(self, name: str) -> Optional[bool]:
-        """Latest probe verdict (None = not yet probed / unknown)."""
-        with self._lock:
-            state = self._states.get(name)
-            return state.healthy if state is not None else None
-
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         with self._lock:
             return {

@@ -255,9 +255,6 @@ class Recorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def events_named(self, name: str) -> list[ObsEvent]:
-        return [e for e in self.events if e.name == name]
-
     def by_track(self) -> dict[tuple[int, int], list[ObsEvent]]:
         out: dict[tuple[int, int], list[ObsEvent]] = {}
         for e in self.events:

@@ -74,9 +74,6 @@ class Accessor:
             and other.fields[: len(self.fields)] == self.fields
         )
 
-    def is_empty(self) -> bool:
-        return not self.fields
-
     def suffix_after(self, prefix: "Accessor") -> "Accessor":
         if not prefix.is_prefix_of(self):
             raise ValueError(f"{prefix} is not a prefix of {self}")

@@ -23,8 +23,6 @@ stay immutable and structurally comparable.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 from repro.perf.cache import InternTable
 
 # Hash-cons table for all regex nodes.  Keys embed child nodes, whose
@@ -242,15 +240,6 @@ def word_regex(fields: tuple[str, ...] | list[str]) -> Regex:
     for f in fields:
         out = Cat(out, Sym(f)) if out is not Eps else Sym(f)
     return out
-
-
-def concat_all(parts: list[Regex]) -> Regex:
-    out: Optional[Regex] = None
-    for p in parts:
-        if p is Eps:
-            continue
-        out = p if out is None else Cat(out, p)
-    return out if out is not None else Eps
 
 
 def alphabet(regex: Regex) -> set[str]:

@@ -311,26 +311,6 @@ class Machine:
             )
         return proc
 
-    def spawn_call(self, fname: str, *args: Any, label: str = "") -> Process:
-        """Spawn a process applying a defined function to arguments."""
-        fn = self.interp.lookup_function(self.interp.intern(fname))
-        if self.eval_mode == "compiled":
-            from repro.lisp.compile import compiled_apply_gen
-
-            gen = compiled_apply_gen(self.interp, fn, list(args))
-        else:
-            gen = self.interp.apply_gen(fn, list(args))
-        return self.spawn(gen, label=label or fname)
-
-    def spawn_form(self, form: Any, label: str = "main") -> Process:
-        if self.eval_mode == "compiled":
-            from repro.lisp.compile import compiled_eval_gen
-
-            gen = compiled_eval_gen(self.interp, form, self.interp.globals)
-        else:
-            gen = self.interp.eval_gen(form, self.interp.globals)
-        return self.spawn(gen, label=label)
-
     def spawn_text(self, text: str, label: str = "main") -> Process:
         forms = self.interp.load(text)
         if self.eval_mode == "compiled":

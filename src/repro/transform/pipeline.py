@@ -481,19 +481,6 @@ class Curare:
         result._post_headtail_func = func
         return result
 
-    # -- sequential fallback (trust-but-verify recovery) -----------------------
-
-    def sequential_fallback_call(self, call_text: str) -> str:
-        """Rewrite transformed names in ``call_text`` back to originals.
-
-        The recovery path of the robustness runtime re-executes the
-        *original* program in a fresh world after a concurrent run is
-        aborted (race flagged, deadlock, watchdog); the entry call the
-        harness holds references transformed names, so they must be
-        mapped back first.
-        """
-        return rewrite_fallback_call(call_text, self.transformed_map)
-
     # -- observability -----------------------------------------------------
 
     def _timed(self, stage: str, fn, *args, **kwargs):
